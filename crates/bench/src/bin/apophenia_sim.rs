@@ -149,11 +149,9 @@ fn main() {
         // Control-replicated deployment (§5.1): one engine per node, a
         // skewed mining-latency model, and the agreement protocol keeping
         // nodes in lock-step.
-        "distributed" => Mode::Distributed {
-            config: args.config.clone(),
-            delay: apophenia::DelayModel::new(2024, 50),
-            initial_interval: 16,
-        },
+        "distributed" => Mode::Distributed(
+            args.config.clone().with_agreed_ingest(16, apophenia::DelayModel::new(2024, 50)),
+        ),
         _ => usage(),
     };
 

@@ -70,6 +70,62 @@ pub enum MiningMode {
     Async,
 }
 
+/// When mined batches ingest into the replayer: the one schedule every
+/// issue path (single-task, batched, flush) consults.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum IngestSchedule {
+    /// At the first task after the finder releases the batch: a pure
+    /// function of the stream only under [`MiningMode::Sync`].
+    #[default]
+    Opportunistic,
+    /// Asynchronous batches wait for the host's `quiesce()` and all ingest
+    /// at the next issue (ignored when mining inline). Quiescing on a
+    /// stream-derived schedule (say, every iteration) makes asynchronous
+    /// runs bit-reproducible, at up to one quiesce period of latency.
+    Gated,
+    /// The §5.1 agreement: the batch of a slice ending at operation `e`
+    /// ingests at `e + interval` on every node; a node whose mining
+    /// (latency per `delay`) is not done by then stalls, and any stall
+    /// doubles the interval. Mines inline: the latency is the model's.
+    Agreed {
+        /// Starting operations between a slice's end and its ingestion.
+        interval: u64,
+        /// Simulated per-node mining latency.
+        delay: DelayModel,
+    },
+}
+
+/// Simulated per-node asynchronous-mining latency, in operations.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DelayModel {
+    pub(crate) seed: u64,
+    /// Maximum latency the model produces.
+    pub max_delay: u64,
+}
+
+impl DelayModel {
+    /// A deterministic model seeded with `seed`, producing latencies in
+    /// `[0, max_delay]`.
+    pub fn new(seed: u64, max_delay: u64) -> Self {
+        Self { seed, max_delay }
+    }
+
+    /// The latency node `node` experiences for mining job `job`.
+    pub fn delay(&self, node: u32, job: u64) -> u64 {
+        // SplitMix64 over (seed, node, job).
+        let mut x = self
+            .seed
+            .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(node) + 1))
+            .wrapping_add(job.wrapping_mul(0xbf58_476d_1ce4_e5b9));
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x ^= x >> 27;
+        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^= x >> 31;
+        self.max_delay.checked_add(1).map_or(x, |span| x % span)
+    }
+}
+
 /// What the engine does when the mining pipeline degrades (a worker
 /// panic or a dead worker pool — the failures surfaced as
 /// [`FinderError`](crate::finder::FinderError) via `health()`).
@@ -158,6 +214,11 @@ pub enum ConfigError {
     /// `capacity.max_template_bytes == Some(0)`: any recorded template has
     /// a nonzero footprint.
     ZeroMaxTemplateBytes,
+    /// [`IngestSchedule::Agreed`] with `interval == 0`.
+    ZeroAgreedInterval,
+    /// [`IngestSchedule::Agreed`] with [`MiningMode::Async`]: the agreement
+    /// models latency itself, so it mines inline whatever the mode says.
+    AgreedAsyncMining,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -173,6 +234,8 @@ impl std::fmt::Display for ConfigError {
             Self::ZeroMaxTrieNodes => "capacity.max_trie_nodes must be at least 1 when set",
             Self::ZeroMaxTrieBytes => "capacity.max_trie_bytes must be at least 1 when set",
             Self::ZeroMaxTemplateBytes => "capacity.max_template_bytes must be at least 1 when set",
+            Self::ZeroAgreedInterval => "the agreed ingest interval must be at least 1 operation",
+            Self::AgreedAsyncMining => "the agreed ingest schedule requires synchronous mining",
         };
         f.write_str(msg)
     }
@@ -227,16 +290,8 @@ pub struct Config {
     /// [`MiningMode::Async`] (ignored when mining inline). Batches are
     /// released in submission order regardless of thread count.
     pub mining_threads: usize,
-    /// Gate asynchronous ingestion behind explicit quiesce barriers
-    /// (ignored when mining inline). With the gate up, completed mining
-    /// batches are *not* released at the opportunistic per-task poll —
-    /// they wait until the host calls `quiesce()`, after which they all
-    /// ingest at the very next issue. A host that quiesces on a schedule
-    /// derived from the stream (say, every iteration) thereby makes
-    /// asynchronous runs bit-reproducible: ingestion positions become a
-    /// pure function of the task stream instead of pool timing. Costs
-    /// ingestion latency (up to one quiesce period); off by default.
-    pub gated_ingest: bool,
+    /// When mined batches ingest (opportunistically by default).
+    pub ingest: IngestSchedule,
     /// Suffix-array construction backend used by Algorithm 2
     /// ([`SuffixBackend::Sais`] — linear time — by default; prefix
     /// doubling kept for ablations). Both backends mine identical
@@ -275,7 +330,7 @@ impl Config {
             repeats: RepeatsAlgorithm::QuickMatching,
             mining: MiningMode::Sync,
             mining_threads: 1,
-            gated_ingest: false,
+            ingest: IngestSchedule::Opportunistic,
             suffix_backend: SuffixBackend::default(),
             scoring: ScoringConfig::default(),
             capacity: CapacityConfig::default(),
@@ -324,9 +379,16 @@ impl Config {
     }
 
     /// Gates asynchronous ingestion behind explicit quiesce barriers,
-    /// making async runs bit-reproducible (see [`Config::gated_ingest`]).
+    /// making async runs bit-reproducible (see [`IngestSchedule::Gated`]).
     pub fn with_gated_ingest(mut self) -> Self {
-        self.gated_ingest = true;
+        self.ingest = IngestSchedule::Gated;
+        self
+    }
+
+    /// Selects the §5.1 agreement schedule (see [`IngestSchedule::Agreed`];
+    /// the interval is clamped to at least one operation).
+    pub fn with_agreed_ingest(mut self, interval: u64, delay: DelayModel) -> Self {
+        self.ingest = IngestSchedule::Agreed { interval: interval.max(1), delay };
         self
     }
 
@@ -383,6 +445,12 @@ impl Config {
         self
     }
 
+    /// Whether mining runs inline: under [`MiningMode::Sync`] or
+    /// [`IngestSchedule::Agreed`] (worker timing must not leak into it).
+    pub fn mines_inline(&self) -> bool {
+        self.mining == MiningMode::Sync || matches!(self.ingest, IngestSchedule::Agreed { .. })
+    }
+
     /// Effective maximum piece length (batch size bounds every candidate;
     /// never below one token, so candidate splitting always advances).
     pub fn effective_max_len(&self) -> usize {
@@ -391,8 +459,9 @@ impl Config {
 
     /// Checks the configuration for values the engine cannot run with:
     /// zero capacities (which would stall candidate splitting or make the
-    /// stores unable to hold anything) and a non-positive staleness
-    /// half-life (which would turn scores into NaN).
+    /// stores unable to hold anything), a non-positive staleness
+    /// half-life (which would turn scores into NaN), and an agreed ingest
+    /// schedule that is empty or mixed with asynchronous mining.
     ///
     /// The builders clamp these away; validate guards configurations
     /// assembled by struct literal or deserialization.
@@ -434,6 +503,14 @@ impl Config {
         }
         if self.capacity.max_template_bytes == Some(0) {
             return Err(ConfigError::ZeroMaxTemplateBytes);
+        }
+        if let IngestSchedule::Agreed { interval, .. } = self.ingest {
+            if interval == 0 {
+                return Err(ConfigError::ZeroAgreedInterval);
+            }
+            if self.mining == MiningMode::Async {
+                return Err(ConfigError::AgreedAsyncMining);
+            }
         }
         Ok(())
     }
@@ -577,6 +654,15 @@ mod tests {
         let mut c = Config::standard();
         c.capacity.max_template_bytes = Some(0);
         assert_eq!(c.validate(), Err(ConfigError::ZeroMaxTemplateBytes));
+
+        let mut c = Config::standard().with_agreed_ingest(0, DelayModel::new(1, 0));
+        assert_eq!(c.ingest, IngestSchedule::Agreed { interval: 1, delay: DelayModel::new(1, 0) });
+        assert!(c.validate().is_ok());
+        c.ingest = IngestSchedule::Agreed { interval: 0, delay: DelayModel::new(1, 0) };
+        assert_eq!(c.validate(), Err(ConfigError::ZeroAgreedInterval));
+        let c = Config::standard().with_agreed_ingest(8, DelayModel::new(1, 0)).with_async_mining();
+        assert_eq!(c.validate(), Err(ConfigError::AgreedAsyncMining));
+        assert!(Config::standard().with_async_mining().with_gated_ingest().validate().is_ok());
 
         // Errors render as readable messages.
         assert!(ConfigError::NonPositiveHalfLife.to_string().contains("half_life"));

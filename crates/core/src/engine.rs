@@ -8,12 +8,17 @@
 //! possibly re-bracketed stream of tasks and `begin_trace`/`end_trace`
 //! calls to the underlying [`Runtime`]. Applications using [`AutoTracer`]
 //! need no tracing annotations at all.
+//!
+//! One function decides when mined batches ingest, per
+//! [`Config::ingest`]; it runs the §5.1 agreement too, so a
+//! control-replicated deployment is N engines from one configuration.
 
-use crate::config::{Config, FinderPolicy};
-use crate::finder::{FinderError, MiningPool, TraceFinder};
+use crate::config::{Config, FinderPolicy, IngestSchedule};
+use crate::finder::{get_batch, put_batch, FinderError, MinedBatch, MiningPool, TraceFinder};
 use crate::metrics::{CapacitySample, CapacitySeries, TracedWindow, WarmupDetector};
 use crate::replayer::{ReplayerStats, TraceReplayer};
 use crate::snapshot::{get_config, put_config};
+use std::collections::VecDeque;
 use tasksim::exec::LogStats;
 use tasksim::ids::{RegionId, TraceId};
 use tasksim::issuer::{RunArtifacts, TaskIssuer};
@@ -23,6 +28,20 @@ use tasksim::snapshot::{
 };
 use tasksim::stats::{BufferStats, RuntimeStats};
 use tasksim::task::{TaskDesc, TaskHash};
+
+/// Counters of the §5.1 agreement ([`IngestSchedule::Agreed`]). Each
+/// engine models every node, so each holds the deployment's totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AgreementStats {
+    /// Batch ingestions, summed over the deployment's nodes.
+    pub ingests: u64,
+    /// Times any node had to stall waiting for its own mining job.
+    pub waits: u64,
+    /// Total simulated stall, in operations-worth of waiting.
+    pub stall_ops: u64,
+    /// The current agreed ingestion interval.
+    pub interval: u64,
+}
 
 /// Automatic tracing layered over a [`Runtime`].
 ///
@@ -74,6 +93,11 @@ pub struct AutoTracer {
     iter_total: u64,
     /// Tasks the application has issued so far (including buffered ones).
     issued: u64,
+    /// Batches waiting for their agreed ingestion point under
+    /// [`IngestSchedule::Agreed`], as `(ingest_at, batch)`.
+    agreed: VecDeque<(u64, MinedBatch)>,
+    /// The agreement protocol's counters; `interval` is the live one.
+    agreement: AgreementStats,
     /// Reusable `(task, hash)` accumulator for [`TaskIssuer::issue_batch`]
     /// — always empty between calls, so it is not serialized.
     batch_scratch: Vec<(TaskDesc, TaskHash)>, // snapshot: derived
@@ -83,8 +107,7 @@ impl AutoTracer {
     /// Creates an engine over a fresh runtime. The runtime is forced into
     /// `auto_layer` cost accounting (12 µs launches, §5.2 replay gating).
     pub fn new(rt_config: RuntimeConfig, config: Config) -> Self {
-        let rt = Runtime::new(Self::apply_caps(rt_config, &config));
-        Self::assemble(TraceFinder::new(&config), rt, config)
+        Self::assemble(TraceFinder::new(&config), rt_config, config)
     }
 
     /// Like [`Self::new`], but the finder submits mining jobs to `pool`
@@ -93,35 +116,25 @@ impl AutoTracer {
     /// threads. Per-engine mining results and submission-order reassembly
     /// are unaffected; only the threads are shared.
     pub fn with_pool(rt_config: RuntimeConfig, config: Config, pool: &MiningPool) -> Self {
-        let rt = Runtime::new(Self::apply_caps(rt_config, &config));
-        Self::assemble(TraceFinder::with_pool(&config, pool), rt, config)
-    }
-
-    /// Layers the engine over an existing runtime (which should have been
-    /// built with [`RuntimeConfig::with_auto_layer`] for faithful cost
-    /// accounting).
-    pub fn over(rt: Runtime, config: Config) -> Self {
-        Self::assemble(TraceFinder::new(&config), rt, config)
+        Self::assemble(TraceFinder::with_pool(&config, pool), rt_config, config)
     }
 
     /// Folds the tracing config's template byte budget
     /// ([`crate::config::CapacityConfig::max_template_bytes`]) into the
-    /// runtime config (taking the tighter of the two when both are set)
-    /// and forces auto-layer cost accounting.
-    fn apply_caps(mut rt_config: RuntimeConfig, config: &Config) -> RuntimeConfig {
+    /// runtime config (taking the tighter of the two when both are set),
+    /// forces auto-layer cost accounting, and builds the engine.
+    fn assemble(finder: TraceFinder, mut rt_config: RuntimeConfig, config: Config) -> Self {
         if let Some(bytes) = config.capacity.max_template_bytes {
             rt_config.max_template_bytes =
                 Some(rt_config.max_template_bytes.map_or(bytes, |own| own.min(bytes)));
         }
-        rt_config.with_auto_layer()
-    }
-
-    fn assemble(finder: TraceFinder, rt: Runtime, config: Config) -> Self {
+        let interval =
+            if let IngestSchedule::Agreed { interval, .. } = config.ingest { interval } else { 0 };
         Self {
             finder,
             replayer: TraceReplayer::new(&config),
             config,
-            rt,
+            rt: Runtime::new(rt_config.with_auto_layer()),
             window: TracedWindow::figure10(),
             warmup: WarmupDetector::default(),
             capacity: CapacitySeries::new(),
@@ -129,74 +142,27 @@ impl AutoTracer {
             iter_traced: 0,
             iter_total: 0,
             issued: 0,
+            agreed: VecDeque::new(),
+            agreement: AgreementStats { interval, ..AgreementStats::default() },
             batch_scratch: Vec::new(),
         }
     }
 
-    /// Algorithm 1's `ExecuteTask`: hash, feed the finder, ingest any
-    /// completed analyses, and let the replayer forward what it can.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors (which, by construction, automatic
-    /// tracing never triggers for trace validity).
-    pub fn execute_task(&mut self, task: TaskDesc) -> Result<(), RuntimeError> {
-        self.issue_one(task)?;
-        self.absorb_stats();
-        Ok(())
-    }
-
-    /// The per-task core of Algorithm 1, shared by the single-task and
-    /// batched issue paths. Mined batches ingest at the exact stream
-    /// position the finder completed at, so batched issuance is
-    /// decision-for-decision identical to task-at-a-time issuance; only
-    /// the metrics bookkeeping ([`Self::absorb_stats`]) is amortized by
-    /// the caller.
+    /// The per-task core of Algorithm 1 on the single-task path.
     fn issue_one(&mut self, task: TaskDesc) -> Result<(), RuntimeError> {
-        let hash = task.semantic_hash();
-        self.issued += 1;
-        self.finder.record(hash);
-        self.enforce_finder_policy()?;
-        let mut ingested = false;
-        for batch in self.finder.poll_completed() {
-            self.replayer.ingest(&batch);
-            ingested = true;
-        }
-        if ingested {
-            self.sample_capacity();
-        }
+        let hash = self.admit(&task, &mut Vec::new())?;
         self.replayer.on_task(task, hash, &mut self.rt)
     }
 
-    /// The batched core of Algorithm 1: hashes and records every task,
-    /// accumulating `(task, hash)` pairs in `run` and flushing them
-    /// through [`TraceReplayer::on_batch`] whenever a mined batch must
-    /// ingest at its exact stream position (and once at the end).
+    /// The batched core of Algorithm 1: admits every task into `run` and
+    /// forwards it through [`TraceReplayer::on_batch`] at the end.
     fn issue_batch_inner(
         &mut self,
         tasks: &mut Vec<TaskDesc>,
         run: &mut Vec<(TaskDesc, TaskHash)>,
     ) -> Result<(), RuntimeError> {
         for task in tasks.drain(..) {
-            let hash = task.semantic_hash();
-            self.issued += 1;
-            self.finder.record(hash);
-            self.enforce_finder_policy()?;
-            let mut ingested = false;
-            for batch in self.finder.poll_completed() {
-                // Everything buffered so far precedes the finder's
-                // completion position in the stream: it must go through
-                // the replayer before the batch ingests, or recognition
-                // decisions could shift relative to the reference path.
-                if !run.is_empty() {
-                    self.replayer.on_batch(run, &mut self.rt)?;
-                }
-                self.replayer.ingest(&batch);
-                ingested = true;
-            }
-            if ingested {
-                self.sample_capacity();
-            }
+            let hash = self.admit(&task, run)?;
             run.push((task, hash));
         }
         if !run.is_empty() {
@@ -205,19 +171,79 @@ impl AutoTracer {
         Ok(())
     }
 
-    /// Under [`FinderPolicy::FailStop`], turns a degraded mining pipeline
-    /// into a typed error at the next issue; under the default degrade
-    /// policy this is free (the failure stays visible via
-    /// [`Self::finder_health`]).
-    fn enforce_finder_policy(&mut self) -> Result<(), RuntimeError> {
-        if self.config.finder_policy == FinderPolicy::FailStop {
-            self.finder.health().map_err(|e| RuntimeError::FinderFailed(e.to_string()))?;
+    /// The prelude both issue paths share: hash, record, enforce the
+    /// finder policy, ingest what is due. The not-yet-forwarded batched
+    /// tasks in `run` precede this one, so they reach the replayer before
+    /// anything ingests, keeping batched issuance decision-identical.
+    fn admit(
+        &mut self,
+        task: &TaskDesc,
+        run: &mut Vec<(TaskDesc, TaskHash)>,
+    ) -> Result<TaskHash, RuntimeError> {
+        let hash = task.semantic_hash();
+        self.issued += 1;
+        self.finder.record(hash);
+        self.enforce_finder_policy()?;
+        let due = self.due_batches(false);
+        if !due.is_empty() && !run.is_empty() {
+            self.replayer.on_batch(run, &mut self.rt)?;
         }
-        Ok(())
+        self.ingest(&due);
+        Ok(hash)
     }
 
-    /// Records one candidate-store footprint sample (after an ingest).
-    fn sample_capacity(&mut self) {
+    /// The one ingest schedule: the mined batches [`Config::ingest`] makes
+    /// due at the current task, in order. At a flush (program end) every
+    /// batch is due, and agreed batches ingest without counting as agreed.
+    ///
+    /// Under [`IngestSchedule::Agreed`] the batch of a slice ending at
+    /// operation `e` ingests at `e + interval` (the interval when it
+    /// arrives). Node `n` has it ready at `e + delay(n, job)`; each node
+    /// not ready by then stalls, and any stall doubles the interval. Every
+    /// engine of a deployment computes this for all nodes alike.
+    fn due_batches(&mut self, flushing: bool) -> Vec<MinedBatch> {
+        let mined =
+            if flushing { self.finder.drain_blocking() } else { self.finder.poll_completed() };
+        let IngestSchedule::Agreed { delay, .. } = self.config.ingest else {
+            return mined;
+        };
+        for batch in mined {
+            self.agreed.push_back((batch.slice_end + self.agreement.interval, batch));
+        }
+        if flushing {
+            return self.agreed.drain(..).map(|(_, batch)| batch).collect();
+        }
+        let now = self.issued;
+        let nodes = self.rt.config().nodes.max(1);
+        let mut due = Vec::new();
+        let mut waited = false;
+        while let Some((_, batch)) = self.agreed.pop_front_if(|(at, _)| *at <= now) {
+            for node in 0..nodes {
+                let ready_at = batch.slice_end + delay.delay(node, batch.job);
+                if ready_at > now {
+                    waited = true;
+                    self.agreement.waits += 1;
+                    self.agreement.stall_ops += ready_at - now;
+                }
+            }
+            self.agreement.ingests += u64::from(nodes);
+            due.push(batch);
+        }
+        if waited {
+            self.agreement.interval = self.agreement.interval.saturating_mul(2).min(1 << 20);
+        }
+        due
+    }
+
+    /// Ingests `batches`, then records one candidate-store footprint
+    /// sample if any landed.
+    fn ingest(&mut self, batches: &[MinedBatch]) {
+        if batches.is_empty() {
+            return;
+        }
+        for batch in batches {
+            self.replayer.ingest(batch);
+        }
         let s = self.replayer.stats();
         self.capacity.push(CapacitySample {
             at_task: self.issued,
@@ -228,36 +254,14 @@ impl AutoTracer {
         });
     }
 
-    /// Marks an application iteration boundary. The mark binds to the
-    /// tasks issued so far in *application* order — some may still sit in
-    /// the replayer's pending buffer, but the simulator resolves marks by
-    /// task count, so iteration timings stay attached to their tasks.
-    pub fn mark_iteration(&mut self) {
-        self.rt.mark_iteration_after(self.issued);
-        self.warmup.record_iteration(self.iter_traced, self.iter_total);
-        self.iter_traced = 0;
-        self.iter_total = 0;
-    }
-
-    /// Drains buffered state: blocks on outstanding analyses, replays any
-    /// eligible matches, and forwards everything else untraced. Call at
-    /// program end.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors.
-    pub fn flush(&mut self) -> Result<(), RuntimeError> {
-        self.enforce_finder_policy()?;
-        let mut ingested = false;
-        for batch in self.finder.drain_blocking() {
-            self.replayer.ingest(&batch);
-            ingested = true;
+    /// Under [`FinderPolicy::FailStop`], turns a degraded mining pipeline
+    /// into a typed error at the next issue; under the default degrade
+    /// policy this is free (the failure stays visible via
+    /// [`Self::finder_health`]).
+    fn enforce_finder_policy(&mut self) -> Result<(), RuntimeError> {
+        if self.config.finder_policy == FinderPolicy::FailStop {
+            self.finder.health().map_err(|e| RuntimeError::FinderFailed(e.to_string()))?;
         }
-        if ingested {
-            self.sample_capacity();
-        }
-        self.replayer.flush(&mut self.rt)?;
-        self.absorb_stats();
         Ok(())
     }
 
@@ -297,9 +301,15 @@ impl AutoTracer {
         &self.warmup
     }
 
-    /// Analyses submitted by the finder so far.
-    pub fn analyses_submitted(&self) -> u64 {
-        self.finder.jobs_submitted
+    /// The §5.1 agreement counters (all zero unless the schedule is
+    /// [`IngestSchedule::Agreed`]).
+    pub fn agreement_stats(&self) -> AgreementStats {
+        self.agreement
+    }
+
+    /// Tasks the application has issued so far (including buffered ones).
+    pub fn tasks_issued(&self) -> u64 {
+        self.issued
     }
 
     /// Flushes and consumes the engine, returning the run's artifacts:
@@ -319,7 +329,8 @@ impl AutoTracer {
     /// Serializes the engine's complete state — configuration, runtime
     /// (log, templates, analyzer, pipeline), finder (history buffer,
     /// sampler, completed batches), replayer (trie, cursors, pending
-    /// buffer), and metrics — as one self-contained payload. The finder's
+    /// buffer), agreement queue, and metrics — as one self-contained
+    /// payload. The finder's
     /// mining pipeline is quiesced first, which is why this takes
     /// `&mut self`; the engine continues normally afterwards.
     pub fn write_snapshot(&mut self, w: &mut SnapshotWriter) {
@@ -334,6 +345,12 @@ impl AutoTracer {
         w.put_u64(self.iter_traced);
         w.put_u64(self.iter_total);
         w.put_u64(self.issued);
+        let a = self.agreement;
+        [a.ingests, a.waits, a.stall_ops, a.interval].into_iter().for_each(|v| w.put_u64(v));
+        w.put_deque(&self.agreed, |w, (ingest_at, batch)| {
+            w.put_u64(*ingest_at);
+            put_batch(w, batch);
+        });
     }
 
     /// Rebuilds an engine from [`Self::write_snapshot`] output. The
@@ -366,6 +383,13 @@ impl AutoTracer {
             iter_traced: r.get_u64()?,
             iter_total: r.get_u64()?,
             issued: r.get_u64()?,
+            agreement: AgreementStats {
+                ingests: r.get_u64()?,
+                waits: r.get_u64()?,
+                stall_ops: r.get_u64()?,
+                interval: r.get_u64()?,
+            },
+            agreed: r.get_deque(|r| Ok((r.get_u64()?, get_batch(r)?)))?,
             batch_scratch: Vec::new(),
         })
     }
@@ -402,12 +426,16 @@ impl TaskIssuer for AutoTracer {
         self.rt.destroy_region(region)
     }
 
+    /// Algorithm 1's `ExecuteTask`: hash, feed the finder, ingest what the
+    /// schedule makes due, and let the replayer forward what it can.
     fn execute_task(&mut self, task: TaskDesc) -> Result<(), RuntimeError> {
-        AutoTracer::execute_task(self, task)
+        self.issue_one(task)?;
+        self.absorb_stats();
+        Ok(())
     }
 
     /// The batched hot path: each task is hashed and fed to the finder
-    /// exactly as in [`AutoTracer::execute_task`], but tasks accumulate in
+    /// exactly as in `execute_task`, but tasks accumulate in
     /// a reusable scratch vector and reach the replayer through
     /// [`TraceReplayer::on_batch`], which forwards contiguous untraceable
     /// runs to the runtime as single
@@ -422,13 +450,7 @@ impl TaskIssuer for AutoTracer {
     /// per-task path instead.
     fn issue_batch(&mut self, mut tasks: Vec<TaskDesc>) -> Result<(), RuntimeError> {
         if self.config.reference_pipeline {
-            let mut result = Ok(());
-            for task in tasks {
-                if let Err(e) = self.issue_one(task) {
-                    result = Err(e);
-                    break;
-                }
-            }
+            let result = tasks.into_iter().try_for_each(|task| self.issue_one(task));
             self.absorb_stats();
             return result;
         }
@@ -457,12 +479,27 @@ impl TaskIssuer for AutoTracer {
         Err(RuntimeError::AnnotationUnderAuto(id))
     }
 
+    /// The mark binds to the tasks issued so far in *application* order:
+    /// some may still sit in the replayer's pending buffer, but the
+    /// simulator resolves marks by task count.
     fn mark_iteration(&mut self) {
-        AutoTracer::mark_iteration(self);
+        self.rt.mark_iteration_after(self.issued);
+        self.warmup.record_iteration(self.iter_traced, self.iter_total);
+        self.iter_traced = 0;
+        self.iter_total = 0;
     }
 
+    /// Blocks on outstanding analyses, ingests everything mined, replays
+    /// any eligible matches, and forwards the rest untraced. Under
+    /// [`FinderPolicy::FailStop`] a failure only this drain revealed is
+    /// an error too.
     fn flush(&mut self) -> Result<(), RuntimeError> {
-        AutoTracer::flush(self)
+        let due = self.due_batches(true);
+        self.enforce_finder_policy()?;
+        self.ingest(&due);
+        self.replayer.flush(&mut self.rt)?;
+        self.absorb_stats();
+        Ok(())
     }
 
     fn stats(&self) -> RuntimeStats {
@@ -640,6 +677,56 @@ mod tests {
             matches!(err, RuntimeError::FinderFailed(ref m) if m.contains("disconnected")),
             "typed error: {err}"
         );
+    }
+
+    #[test]
+    fn fail_stop_surfaces_finder_failures_at_flush() {
+        // A worker panic that lands only at the final drain must still be
+        // surfaced by the first flush under fail-stop (regression: flush
+        // used to check the policy before draining, and lost it). The
+        // poisoned job is the one the last task submits, so its panic
+        // usually shows only during that drain. A control-replicated
+        // deployment flushes each of its engines the same way.
+        let config = small_config()
+            .with_async_mining()
+            .with_multi_scale_factor(8)
+            .with_finder_policy(FinderPolicy::FailStop);
+        let mut auto = AutoTracer::new(RuntimeConfig::single_node(1), config);
+        let a = auto.create_region(1);
+        let b = auto.create_region(1);
+        let mut issue_err = None;
+        for k in 0..32u32 {
+            if k == 31 {
+                auto.finder.poison_next = true;
+            }
+            if let Err(e) = auto.execute_task(TaskDesc::new(TaskKindId(k % 4)).reads(a).writes(b)) {
+                issue_err = Some(e);
+                break;
+            }
+        }
+        let err = match issue_err {
+            // The panic may already surface at the issue's health check
+            // — also correct under fail-stop.
+            Some(e) => e,
+            None => auto.flush().expect_err("the first fail-stop flush surfaces the panic"),
+        };
+        assert!(
+            matches!(err, RuntimeError::FinderFailed(ref m) if m.contains("panicked")),
+            "typed error: {err}"
+        );
+        // The default degrade policy flushes the same scenario cleanly.
+        let config = small_config().with_async_mining().with_multi_scale_factor(8);
+        let mut auto = AutoTracer::new(RuntimeConfig::single_node(1), config);
+        let a = auto.create_region(1);
+        let b = auto.create_region(1);
+        for k in 0..32u32 {
+            if k == 31 {
+                auto.finder.poison_next = true;
+            }
+            auto.execute_task(TaskDesc::new(TaskKindId(k % 4)).reads(a).writes(b)).unwrap();
+        }
+        auto.flush().expect("degrade policy keeps flushing");
+        assert!(auto.finder_health().is_err(), "the panic stays observable");
     }
 
     #[test]

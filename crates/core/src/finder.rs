@@ -28,7 +28,7 @@
 //! reassembly is untouched by sharing. The pool's threads shut down when
 //! the last handle drops.
 
-use crate::config::{Config, IdentifierAlgorithm, MiningMode, RepeatsAlgorithm};
+use crate::config::{Config, IdentifierAlgorithm, IngestSchedule, RepeatsAlgorithm};
 use crate::sampler::MultiScaleSampler;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -324,7 +324,7 @@ enum Miner {
         lost_jobs: usize,
         /// First panicked job observed (drained from `panic_rx`).
         first_panic: Option<u64>,
-        /// [`Config::gated_ingest`]: when set, completed batches are
+        /// [`IngestSchedule::Gated`]: when set, completed batches are
         /// reassembled into `ready` only by [`TraceFinder::quiesce`],
         /// never by the opportunistic per-task poll, so release
         /// positions are a pure function of the quiesce schedule.
@@ -378,11 +378,10 @@ impl TraceFinder {
     /// private [`MiningPool`] of [`Config::mining_threads`] workers; a
     /// multi-tenant host shares one pool via [`Self::with_pool`] instead.
     pub fn new(config: &Config) -> Self {
-        match config.mining {
-            MiningMode::Sync => Self::build(config, Miner::Sync { done: VecDeque::new() }),
-            MiningMode::Async => {
-                Self::with_pool(config, &MiningPool::new(config.mining_threads.max(1)))
-            }
+        if config.mines_inline() {
+            Self::build(config, Miner::Sync { done: VecDeque::new() })
+        } else {
+            Self::with_pool(config, &MiningPool::new(config.mining_threads.max(1)))
         }
     }
 
@@ -390,30 +389,29 @@ impl TraceFinder {
     /// instead of a private pool. Results still come back in strict
     /// per-finder submission order: each job carries this finder's reply
     /// channels, so sharing a pool is invisible to the mining semantics.
-    /// With [`MiningMode::Sync`] the pool is unused (mining runs inline).
+    /// When [`Config::mines_inline`] the pool is unused.
     pub fn with_pool(config: &Config, pool: &MiningPool) -> Self {
-        let miner = match config.mining {
-            MiningMode::Sync => Miner::Sync { done: VecDeque::new() },
-            MiningMode::Async => {
-                let (res_tx, rx) = channel::<MinedBatch>();
-                let (recycle_tx, recycle_rx) = channel::<Vec<TaskHash>>();
-                let (panic_tx, panic_rx) = channel::<u64>();
-                Miner::Pool {
-                    pool: pool.clone(),
-                    res_tx,
-                    rx,
-                    recycle_tx,
-                    recycle_rx,
-                    panic_tx,
-                    panic_rx,
-                    in_flight: 0,
-                    pending: BTreeMap::new(),
-                    next_emit: 0,
-                    ready: VecDeque::new(),
-                    lost_jobs: 0,
-                    first_panic: None,
-                    gated: config.gated_ingest,
-                }
+        let miner = if config.mines_inline() {
+            Miner::Sync { done: VecDeque::new() }
+        } else {
+            let (res_tx, rx) = channel::<MinedBatch>();
+            let (recycle_tx, recycle_rx) = channel::<Vec<TaskHash>>();
+            let (panic_tx, panic_rx) = channel::<u64>();
+            Miner::Pool {
+                pool: pool.clone(),
+                res_tx,
+                rx,
+                recycle_tx,
+                recycle_rx,
+                panic_tx,
+                panic_rx,
+                in_flight: 0,
+                pending: BTreeMap::new(),
+                next_emit: 0,
+                ready: VecDeque::new(),
+                lost_jobs: 0,
+                first_panic: None,
+                gated: config.ingest == IngestSchedule::Gated,
             }
         };
         Self::build(config, miner)
@@ -590,7 +588,7 @@ impl TraceFinder {
 
     /// Returns all completed batches, in submission order. Batches that
     /// completed ahead of an unfinished predecessor are withheld until the
-    /// predecessor lands; under [`Config::gated_ingest`] *every* batch is
+    /// predecessor lands; under [`IngestSchedule::Gated`] *every* batch is
     /// withheld until a [`Self::quiesce`] lands it, so release positions
     /// never depend on worker timing. A pool disconnect is detected here
     /// too: the outstanding jobs are counted as lost and batches stranded

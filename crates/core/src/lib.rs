@@ -27,9 +27,11 @@
 //! * [`engine`] — [`AutoTracer`]: Algorithm 1 assembled, sitting between
 //!   the application and a [`tasksim`] runtime. Implements `TaskIssuer`
 //!   with a batched hot path (`issue_batch`) that amortizes per-task
-//!   bookkeeping without changing any tracing decision.
-//! * [`distributed`] — [`DistributedAutoTracer`]: the §5.1
-//!   control-replication agreement protocol; also a `TaskIssuer`.
+//!   bookkeeping without changing any tracing decision, and owns the one
+//!   ingest schedule ([`IngestSchedule`]), the §5.1 agreement included.
+//! * [`distributed`] — [`DistributedAutoTracer`]: a control-replicated
+//!   deployment as N engines built from one [`Config`], plus the
+//!   lock-step check over their op digests; also a `TaskIssuer`.
 //! * [`snapshot`] — checkpoint/restore: every front-end serializes its
 //!   complete state (`TaskIssuer::checkpoint`) and
 //!   [`Session::resume_from`](session::Session::resume_from) rebuilds it
@@ -40,7 +42,7 @@
 //!
 //! Applications program against the trait object and select the
 //! configuration by data — swapping `Tracing::Auto` for
-//! `Tracing::Untraced` (or `Tracing::Distributed { .. }`) changes nothing
+//! `Tracing::Untraced` (or `Tracing::Distributed(..)`) changes nothing
 //! else in the program:
 //!
 //! ```
@@ -83,11 +85,11 @@ pub mod session;
 pub mod snapshot;
 
 pub use config::{
-    CapacityConfig, Config, ConfigError, FinderPolicy, IdentifierAlgorithm, MiningMode,
-    RepeatsAlgorithm, ScoringConfig,
+    CapacityConfig, Config, ConfigError, DelayModel, FinderPolicy, IdentifierAlgorithm,
+    IngestSchedule, MiningMode, RepeatsAlgorithm, ScoringConfig,
 };
-pub use distributed::{DelayModel, DistributedAutoTracer};
-pub use engine::AutoTracer;
+pub use distributed::DistributedAutoTracer;
+pub use engine::{AgreementStats, AutoTracer};
 pub use finder::{FinderError, MinedBatch, MinedCandidate, MiningPool, TraceFinder};
 pub use metrics::{CapacitySample, CapacitySeries, TracedWindow, WarmupDetector};
 pub use replayer::{TraceReplayer, TraceSink};

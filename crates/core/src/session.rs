@@ -39,7 +39,7 @@
 //! ```
 
 use crate::config::Config;
-use crate::distributed::{DelayModel, DistributedAutoTracer};
+use crate::distributed::DistributedAutoTracer;
 use crate::engine::AutoTracer;
 use crate::finder::MiningPool;
 use tasksim::exec::LogRetention;
@@ -57,16 +57,10 @@ pub enum Tracing {
     Manual,
     /// Apophenia: automatic tracing with the given configuration.
     Auto(Config),
-    /// Control-replicated Apophenia: one engine per node, kept in
-    /// lock-step by the §5.1 ingestion-agreement protocol.
-    Distributed {
-        /// Apophenia configuration used on every node.
-        config: Config,
-        /// Simulated per-node mining-completion latency.
-        delay: DelayModel,
-        /// Starting ingestion-agreement interval, in operations.
-        initial_interval: u64,
-    },
+    /// Control-replicated Apophenia: one engine per node, all running
+    /// this configuration — normally under the §5.1 agreement schedule
+    /// ([`Config::with_agreed_ingest`]), which keeps them in lock-step.
+    Distributed(Config),
 }
 
 impl Tracing {
@@ -81,7 +75,7 @@ impl Tracing {
             Tracing::Untraced => "untraced",
             Tracing::Manual => "manual",
             Tracing::Auto(_) => "auto",
-            Tracing::Distributed { .. } => "distributed",
+            Tracing::Distributed(_) => "distributed",
         }
     }
 
@@ -157,8 +151,8 @@ impl SessionBuilder {
                 Some(pool) => Box::new(AutoTracer::with_pool(self.runtime, config, pool)),
                 None => Box::new(AutoTracer::new(self.runtime, config)),
             },
-            Tracing::Distributed { config, delay, initial_interval } => {
-                Box::new(DistributedAutoTracer::new(self.runtime, config, delay, initial_interval))
+            Tracing::Distributed(config) => {
+                Box::new(DistributedAutoTracer::new(self.runtime, config))
             }
         }
     }
@@ -247,6 +241,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DelayModel;
     use tasksim::cost::Micros;
     use tasksim::ids::{TaskKindId, TraceId};
     use tasksim::runtime::RuntimeError;
@@ -287,11 +282,7 @@ mod tests {
             Tracing::Untraced,
             Tracing::Manual,
             Tracing::Auto(small_auto()),
-            Tracing::Distributed {
-                config: small_auto(),
-                delay: DelayModel::new(1, 0),
-                initial_interval: 8,
-            },
+            Tracing::Distributed(small_auto().with_agreed_ingest(8, DelayModel::new(1, 0))),
         ] {
             let manual = tracing.is_manual();
             let label = tracing.label();
@@ -318,11 +309,7 @@ mod tests {
             Tracing::Untraced,
             Tracing::Manual,
             Tracing::Auto(small_auto()),
-            Tracing::Distributed {
-                config: small_auto(),
-                delay: DelayModel::new(7, 12),
-                initial_interval: 8,
-            },
+            Tracing::Distributed(small_auto().with_agreed_ingest(8, DelayModel::new(7, 12))),
         ] {
             let label = tracing.label();
             let manual = tracing.is_manual();
@@ -348,11 +335,7 @@ mod tests {
     fn auto_front_ends_reject_manual_brackets() {
         for tracing in [
             Tracing::Auto(small_auto()),
-            Tracing::Distributed {
-                config: small_auto(),
-                delay: DelayModel::new(1, 0),
-                initial_interval: 8,
-            },
+            Tracing::Distributed(small_auto().with_agreed_ingest(8, DelayModel::new(1, 0))),
         ] {
             let mut issuer = Session::builder().tracing(tracing).build();
             let err = issuer.begin_trace(TraceId(9)).unwrap_err();

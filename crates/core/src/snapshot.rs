@@ -17,11 +17,12 @@
 //!   until in-flight jobs land), then serializes the rolling history
 //!   buffer, sampler counters, completed-but-unpolled batches, and
 //!   pipeline health;
-//! * [`crate::engine::AutoTracer`] and
-//!   [`crate::distributed::DistributedAutoTracer`] stitch those together
-//!   (per node, for the distributed front-end, all cut at the same
-//!   issued-task barrier) behind
+//! * [`crate::engine::AutoTracer`] stitches those together with its
+//!   metrics and its agreement queue behind
 //!   [`TaskIssuer::checkpoint`](tasksim::issuer::TaskIssuer::checkpoint);
+//!   [`crate::distributed::DistributedAutoTracer`] writes a node count
+//!   followed by one engine payload per node, all cut at the same
+//!   issued-task barrier;
 //! * [`Session::resume_from`](crate::session::Session::resume_from)
 //!   dispatches on the envelope's front-end tag and rebuilds the right
 //!   front-end.
@@ -33,8 +34,8 @@
 //! (f64s move via `to_bits`) or derived deterministically from it.
 
 use crate::config::{
-    CapacityConfig, Config, FinderPolicy, IdentifierAlgorithm, MiningMode, RepeatsAlgorithm,
-    ScoringConfig,
+    CapacityConfig, Config, DelayModel, FinderPolicy, IdentifierAlgorithm, IngestSchedule,
+    MiningMode, RepeatsAlgorithm, ScoringConfig,
 };
 use substrings::SuffixBackend;
 pub use tasksim::snapshot::{
@@ -81,7 +82,16 @@ pub fn put_config(w: &mut SnapshotWriter, c: &Config) {
         FinderPolicy::DegradeUntraced => 0,
         FinderPolicy::FailStop => 1,
     });
-    w.put_bool(c.gated_ingest);
+    match c.ingest {
+        IngestSchedule::Opportunistic => w.put_u8(0),
+        IngestSchedule::Gated => w.put_u8(1),
+        IngestSchedule::Agreed { interval, delay } => {
+            w.put_u8(2);
+            w.put_u64(interval);
+            w.put_u64(delay.seed);
+            w.put_u64(delay.max_delay);
+        }
+    }
     w.put_bool(c.reference_pipeline);
 }
 
@@ -136,9 +146,15 @@ pub fn get_config(r: &mut SnapshotReader<'_>) -> Result<Config, SnapshotError> {
             1 => FinderPolicy::FailStop,
             t => return Err(bad("finder policy", t)),
         },
-        // Written (and therefore read) last: appended after the fields
-        // above to keep their payload offsets stable.
-        gated_ingest: r.get_bool()?,
+        ingest: match r.get_u8()? {
+            0 => IngestSchedule::Opportunistic,
+            1 => IngestSchedule::Gated,
+            2 => IngestSchedule::Agreed {
+                interval: r.get_u64()?,
+                delay: DelayModel { seed: r.get_u64()?, max_delay: r.get_u64()? },
+            },
+            t => return Err(bad("ingest schedule", t)),
+        },
         reference_pipeline: r.get_bool()?,
     })
 }
@@ -168,12 +184,16 @@ mod tests {
         c.repeats = RepeatsAlgorithm::Lzw;
         c.scoring.replay_bonus = 0.5;
         c.reference_pipeline = true;
-        let mut w = SnapshotWriter::new();
-        put_config(&mut w, &c);
-        let payload = w.into_payload();
-        let mut r = SnapshotReader::new(&payload);
-        assert_eq!(get_config(&mut r).unwrap(), c);
-        r.expect_end().unwrap();
+        let round_trip = |c: &Config| {
+            let mut w = SnapshotWriter::new();
+            put_config(&mut w, c);
+            let payload = w.into_payload();
+            let mut r = SnapshotReader::new(&payload);
+            assert_eq!(&get_config(&mut r).unwrap(), c);
+            r.expect_end().unwrap();
+        };
+        round_trip(&c);
+        round_trip(&c.with_agreed_ingest(12, DelayModel::new(2024, 25)));
     }
 
     #[test]

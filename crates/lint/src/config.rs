@@ -14,7 +14,8 @@ pub const FIXTURE_DIR: &str = "crates/lint/tests/fixtures";
 #[derive(Debug, Clone)]
 pub struct LintConfig {
     /// Modules whose hash-map/set iteration order must not leak
-    /// (D001): snapshot codecs, eviction paths, lock-step state.
+    /// (D001): snapshot codecs, eviction paths, the agreement queue, and
+    /// the lock-step wrapper.
     pub deterministic_modules: Vec<String>,
     /// The recognize/replay hot path, where `unwrap`/`expect`/`panic!`
     /// are forbidden (P001).
@@ -30,6 +31,7 @@ impl LintConfig {
         Self {
             deterministic_modules: vec![
                 "crates/core/src/replayer.rs".into(),
+                "crates/core/src/engine.rs".into(),
                 "crates/core/src/distributed.rs".into(),
                 "crates/core/src/snapshot.rs".into(),
                 "crates/tasksim/src/snapshot.rs".into(),
@@ -90,6 +92,8 @@ mod tests {
         assert!(c.is_deterministic_module("crates/substrings/src/trie.rs"));
         assert!(!c.is_deterministic_module("crates/substrings/src/sais.rs"));
         assert!(c.is_hot_panic_module("crates/core/src/engine.rs"));
+        assert!(c.is_deterministic_module("crates/core/src/engine.rs"), "agreement queue");
+        assert!(c.is_deterministic_module("crates/core/src/distributed.rs"), "lock-step wrapper");
         assert!(c.ambient_applies("crates/serve/src/lib.rs"));
         assert!(!c.ambient_applies("crates/bench/src/experiments.rs"));
         assert!(!c.ambient_applies("crates/shims/criterion/src/lib.rs"));

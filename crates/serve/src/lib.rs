@@ -437,9 +437,7 @@ impl TraceService {
         };
         match tracing {
             Tracing::Auto(c) => Tracing::Auto(tighten(c)),
-            Tracing::Distributed { config, delay, initial_interval } => {
-                Tracing::Distributed { config: tighten(config), delay, initial_interval }
-            }
+            Tracing::Distributed(c) => Tracing::Distributed(tighten(c)),
             other => other,
         }
     }

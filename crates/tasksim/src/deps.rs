@@ -104,11 +104,6 @@ impl DependenceAnalyzer {
         preds
     }
 
-    /// Clears all frontier state (used at shard boundaries in tests).
-    pub fn reset(&mut self) {
-        self.frontiers.clear();
-    }
-
     /// Total frontier entries currently tracked (a measure of analysis
     /// state size).
     pub fn frontier_size(&self) -> usize {

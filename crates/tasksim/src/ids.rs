@@ -44,10 +44,6 @@ id_type!(
     TaskKindId
 );
 id_type!(
-    /// A node (shard) of the machine.
-    NodeId
-);
-id_type!(
     /// A trace identifier passed to `begin_trace` / `end_trace`.
     TraceId
 );

@@ -29,8 +29,6 @@
 //! * [`exec`] — a discrete-event simulation of Legion's three-stage
 //!   pipeline (application → analysis → execution) over a machine model,
 //!   yielding steady-state iteration throughput;
-//! * [`replication`] — dynamic control replication: one runtime shard per
-//!   node, with the determinism checks Apophenia must preserve (§5.1);
 //! * [`snapshot`] — the versioned binary codec behind
 //!   [`TaskIssuer::checkpoint`](issuer::TaskIssuer::checkpoint): every
 //!   stateful layer serializes itself so an interrupted run can restore
@@ -51,7 +49,6 @@ pub mod index;
 pub mod issuer;
 pub mod privilege;
 pub mod region;
-pub mod replication;
 pub mod runtime;
 pub mod snapshot;
 pub mod stats;
@@ -60,7 +57,7 @@ pub mod trace;
 
 pub use cost::{CostModel, Micros};
 pub use exec::{simulate, LogRetention, LogStats, OpLog, SimPipeline, SimReport};
-pub use ids::{FieldId, NodeId, OpId, RegionId, TaskKindId, TraceId};
+pub use ids::{FieldId, OpId, RegionId, TaskKindId, TraceId};
 pub use issuer::{RunArtifacts, TaskIssuer};
 pub use privilege::Privilege;
 pub use region::RegionForest;

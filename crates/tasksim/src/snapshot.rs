@@ -49,7 +49,11 @@ pub const MAGIC: [u8; 4] = *b"APSN";
 /// `max_template_bytes`, `RuntimeConfig::max_template_bytes`).
 /// v3: the reference-pipeline selector joined the serialized
 /// configuration (`Config::reference_pipeline`).
-pub const FORMAT_VERSION: u32 = 3;
+/// v4: `Config::ingest` (an ingest-schedule tag, plus the agreed interval
+/// and delay model) replaced the gated-ingest flag; each automatic
+/// engine carries its agreement counters and queue; a distributed
+/// snapshot is a node count followed by one engine payload per node.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Front-end tag: a bare [`crate::runtime::Runtime`] (untraced or
 /// manually annotated).

@@ -316,11 +316,7 @@ mod tests {
             Mode::Untraced,
             Mode::Manual,
             Mode::Auto(auto_cfg.clone()),
-            Mode::Distributed {
-                config: auto_cfg,
-                delay: apophenia::DelayModel::new(5, 0),
-                initial_interval: 16,
-            },
+            Mode::Distributed(auto_cfg.with_agreed_ingest(16, apophenia::DelayModel::new(5, 0))),
         ];
         for mode in modes {
             let out = run_workload(&Ping, &p, &mode).unwrap();

@@ -36,11 +36,7 @@ fn all_tracings() -> Vec<Tracing> {
         Tracing::Untraced,
         Tracing::Manual,
         Tracing::Auto(small_auto()),
-        Tracing::Distributed {
-            config: small_auto(),
-            delay: DelayModel::new(2024, 25),
-            initial_interval: 8,
-        },
+        Tracing::Distributed(small_auto().with_agreed_ingest(8, DelayModel::new(2024, 25))),
     ]
 }
 
@@ -200,11 +196,7 @@ fn immediate_recheckpoint_is_byte_identical() {
 #[test]
 fn meta_describes_the_cut() {
     let mut issuer = build(
-        Tracing::Distributed {
-            config: small_auto(),
-            delay: DelayModel::new(7, 12),
-            initial_interval: 8,
-        },
+        Tracing::Distributed(small_auto().with_agreed_ingest(8, DelayModel::new(7, 12))),
         LogRetention::Drain,
     );
     drive_range(issuer.as_mut(), false, 0, 20);
@@ -285,11 +277,7 @@ fn buffered_ops_surface_through_every_front_end() {
 
     for tracing in [
         Tracing::Auto(small_auto()),
-        Tracing::Distributed {
-            config: small_auto(),
-            delay: DelayModel::new(2024, 25),
-            initial_interval: 8,
-        },
+        Tracing::Distributed(small_auto().with_agreed_ingest(8, DelayModel::new(2024, 25))),
     ] {
         let label = tracing.label();
         let mut issuer = build(tracing, LogRetention::Drain);

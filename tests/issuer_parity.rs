@@ -36,11 +36,7 @@ fn all_tracings() -> Vec<Tracing> {
         Tracing::Untraced,
         Tracing::Manual,
         Tracing::Auto(small_auto()),
-        Tracing::Distributed {
-            config: small_auto(),
-            delay: DelayModel::new(2024, 25),
-            initial_interval: 8,
-        },
+        Tracing::Distributed(small_auto().with_agreed_ingest(8, DelayModel::new(2024, 25))),
     ]
 }
 
@@ -51,7 +47,7 @@ fn auto_tracings(reference: bool) -> Vec<Tracing> {
     let cfg = if reference { small_auto().with_reference_pipeline() } else { small_auto() };
     vec![
         Tracing::Auto(cfg.clone()),
-        Tracing::Distributed { config: cfg, delay: DelayModel::new(2024, 25), initial_interval: 8 },
+        Tracing::Distributed(cfg.with_agreed_ingest(8, DelayModel::new(2024, 25))),
     ]
 }
 
@@ -200,11 +196,7 @@ fn auto_front_ends_actually_traced() {
     // Guard against the parity above passing vacuously (nothing traced).
     for tracing in [
         Tracing::Auto(small_auto()),
-        Tracing::Distributed {
-            config: small_auto(),
-            delay: DelayModel::new(2024, 25),
-            initial_interval: 8,
-        },
+        Tracing::Distributed(small_auto().with_agreed_ingest(8, DelayModel::new(2024, 25))),
     ] {
         let label = tracing.label();
         let manual = tracing.is_manual();
@@ -438,6 +430,57 @@ mod proptests {
                     "{}: op log diverged from the reference pipeline", label
                 );
                 prop_assert_eq!(&ref_report, &fast_report, "{}", label);
+            }
+        }
+    }
+}
+
+#[test]
+fn distributed_decisions_are_pinned() {
+    // The distributed configuration above on every issue path, checked
+    // against values recorded from the original stand-alone distributed
+    // front-end, before it became N engines sharing one ingest schedule:
+    // op digest, bit-exact report and stats fingerprints, and the
+    // agreement counters `(ingests, waits, stall_ops, interval)`.
+    use apophenia::DistributedAutoTracer;
+    use tasksim::runtime::RuntimeConfig;
+    let fnv = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3)
+        })
+    };
+    for reference in [false, true] {
+        for batched in [false, true] {
+            for retention in [LogRetention::Full, LogRetention::Drain] {
+                let cfg =
+                    if reference { small_auto().with_reference_pipeline() } else { small_auto() };
+                let rt = RuntimeConfig::multi_node(2, 2).with_log_retention(retention);
+                let mut d = DistributedAutoTracer::new(
+                    rt,
+                    cfg.with_agreed_ingest(8, DelayModel::new(2024, 25)),
+                );
+                drive(&mut d, false, batched);
+                let a = d.agreement_stats();
+                let digest = d.op_digest();
+                let artifacts = Box::new(d).finish().unwrap();
+                let r = &artifacts.report;
+                let totals = [&r.total, &r.analysis_busy, &r.exec_busy, &r.exec_stall];
+                let bits: Vec<u8> = r
+                    .iteration_finish
+                    .iter()
+                    .chain(totals)
+                    .flat_map(|m| m.0.to_bits().to_le_bytes())
+                    .collect();
+                let label = format!("reference={reference} batched={batched} {retention:?}");
+                assert_eq!(digest, 0x3fe8_b676_acab_c25c, "{label}: op digest");
+                assert_eq!(fnv(&bits), 0x9684_3049_26c2_ea09, "{label}: report");
+                let stats = fnv(format!("{:?}", artifacts.stats).as_bytes());
+                assert_eq!(stats, 0x32da_5d40_3874_10f9, "{label}: stats");
+                assert_eq!(
+                    (a.ingests, a.waits, a.stall_ops, a.interval),
+                    (112, 3, 19, 32),
+                    "{label}"
+                );
             }
         }
     }

@@ -42,11 +42,9 @@ fn mode(id: u64) -> Tracing {
         1 => Tracing::Auto(small_auto()),
         2 => Tracing::Untraced,
         4 if id == 4 => Tracing::Manual,
-        _ => Tracing::Distributed {
-            config: small_auto(),
-            delay: DelayModel::new(2024 + id, 25),
-            initial_interval: 8,
-        },
+        _ => {
+            Tracing::Distributed(small_auto().with_agreed_ingest(8, DelayModel::new(2024 + id, 25)))
+        }
     }
 }
 
