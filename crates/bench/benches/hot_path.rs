@@ -6,12 +6,13 @@
 //! `replaying` (one motif looping forever, the memoized mid-replay fast
 //! path), and `mixed` (alternating blocks of both) — each driven in three
 //! issue modes: `reference` (the frozen pre-overhaul per-task pipeline,
-//! `Config::with_reference_pipeline`), `fast` (the per-task hot paths),
-//! and `batched` (`TraceReplayer::on_batch` / `TaskIssuer::issue_batch`).
+//! `TraceReplayer::reference` / `AutoTracer::reference`), `fast` (the
+//! per-task hot paths), and `batched` (`TraceReplayer::on_batch` /
+//! `TaskIssuer::issue_batch`).
 //!
 //! Two measurement layers: the bare `TraceReplayer` (where the fast paths
-//! live — speedup thresholds are enforced here) and a full `Session`
-//! stack (mining + runtime + simulation pipeline — end-to-end op-digest
+//! live — speedup thresholds are enforced here) and a full automatic
+//! engine (mining + runtime + simulation pipeline — end-to-end op-digest
 //! confirmation). Every run checks that all modes of a (stream, layer)
 //! pair produced **bit-identical** event digests: the overhaul buys
 //! throughput only, never a different stream.

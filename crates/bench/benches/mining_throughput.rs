@@ -27,13 +27,13 @@
 //! `bench::report::render_mining_throughput` table so the perf trajectory
 //! of the hot path is recorded run over run.
 
-use apophenia::{Config, Session, SuffixBackend, TraceFinder};
+use apophenia::{Config, Session, TraceFinder};
 use bench::{render_mining_throughput, MiningThroughputRow};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use substrings::suffix_array::SuffixArray;
+use substrings::suffix_array::{SuffixArray, SuffixBackend};
 use tasksim::task::TaskHash;
 use workloads::driver::{AppParams, ProblemSize, Workload};
 use workloads::synthetic::NoisyLoop;

@@ -364,11 +364,12 @@ pub fn run_hot_path_replayer(stream: &'static str, mode: &'static str, tasks: us
     use apophenia::{MinedBatch, MinedCandidate, TraceReplayer};
     use std::time::Instant;
 
-    let mut config = hot_path_config();
-    if mode == "reference" {
-        config = config.with_reference_pipeline();
-    }
-    let mut replayer = TraceReplayer::new(&config);
+    let config = hot_path_config();
+    let mut replayer = if mode == "reference" {
+        TraceReplayer::reference(&config)
+    } else {
+        TraceReplayer::new(&config)
+    };
     let content: Vec<_> =
         (0..HOT_PATH_MOTIF as u32).map(|k| TaskDesc::new(TaskKindId(k)).semantic_hash()).collect();
     replayer.ingest(&MinedBatch {
@@ -408,20 +409,23 @@ pub fn run_hot_path_replayer(stream: &'static str, mode: &'static str, tasks: us
     }
 }
 
-/// Drives one hot-path stream through a full `Session` front-end
+/// Drives one hot-path stream through a full automatic front-end
 /// (mining, replayer, runtime, and simulation pipeline all live) and
 /// measures wall-clock tasks/s plus the runtime's op digest — the
 /// end-to-end confirmation that the fast paths change throughput only.
+/// The `fast` and `batched` modes build it through `Session`; the
+/// `reference` mode builds an [`AutoTracer::reference`] on the same
+/// one-node, two-GPU machine.
 pub fn run_hot_path_session(stream: &'static str, mode: &'static str, tasks: usize) -> HotPathRow {
     use apophenia::{Session, Tracing};
     use std::time::Instant;
 
-    let mut config = hot_path_config();
-    if mode == "reference" {
-        config = config.with_reference_pipeline();
-    }
-    let mut issuer =
-        Session::builder().nodes(1).gpus_per_node(2).tracing(Tracing::Auto(config)).build();
+    let config = hot_path_config();
+    let mut issuer: Box<dyn TaskIssuer> = if mode == "reference" {
+        Box::new(AutoTracer::reference(RuntimeConfig::single_node(2), config))
+    } else {
+        Session::builder().nodes(1).gpus_per_node(2).tracing(Tracing::Auto(config)).build()
+    };
     let kinds = hot_path_kinds(stream, tasks);
     let t0 = Instant::now();
     if mode == "batched" {

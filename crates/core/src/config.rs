@@ -16,16 +16,21 @@
 //! min 25, multi-scale 500) with no maximum trace length unless a
 //! configuration asks for one (Figure 8's "auto-200").
 //!
-//! Beyond the artifact's flags, [`Config::suffix_backend`] selects the
-//! suffix-array construction backend (linear-time SA-IS by default) and
-//! [`Config::mining_threads`] sizes the asynchronous mining worker pool;
-//! neither knob changes mining *results* — only how fast they arrive.
-//! [`Config::capacity`] bounds the candidate trie for long-running
-//! streams (see [`CapacityConfig`]); [`Config::validate`] rejects
-//! degenerate values (zero capacities, non-positive half-life) that would
-//! otherwise stall or corrupt the scoring math.
-
-use substrings::SuffixBackend;
+//! Beyond the artifact's flags, the knobs are the ones a deployment
+//! sets: [`Config::mining`] and [`Config::mining_threads`] place mining
+//! inline or on a worker pool (neither changes mining *results*, only how
+//! fast they arrive), [`Config::ingest`] schedules when mined batches
+//! land, [`Config::capacity`] bounds the candidate trie for long-running
+//! streams (see [`CapacityConfig`]), and [`Config::finder_policy`] says
+//! what a mining failure does. Algorithm 2 always builds its suffix
+//! arrays with linear-time SA-IS. [`Config::validate`] rejects degenerate
+//! values (zero capacities, non-positive half-life) that would otherwise
+//! stall or corrupt the scoring math.
+//!
+//! Test baselines are not configuration: the frozen reference pipeline
+//! is selected by construction
+//! ([`AutoTracer::reference`](crate::engine::AutoTracer::reference)) and
+//! never reaches a checkpoint.
 
 /// Which buffer-sampling strategy the trace finder uses (§4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -292,29 +297,13 @@ pub struct Config {
     pub mining_threads: usize,
     /// When mined batches ingest (opportunistically by default).
     pub ingest: IngestSchedule,
-    /// Suffix-array construction backend used by Algorithm 2
-    /// ([`SuffixBackend::Sais`] — linear time — by default; prefix
-    /// doubling kept for ablations). Both backends mine identical
-    /// candidates.
-    pub suffix_backend: SuffixBackend,
     /// Scoring constants.
     pub scoring: ScoringConfig,
     /// Memory bounds on the candidate trie (unbounded by default).
     pub capacity: CapacityConfig,
-    /// Consult winnowing fingerprints before each mining job and skip the
-    /// job when the slice provably contains no repeat of at least the
-    /// minimum trace length (an optimization beyond the paper, off by
-    /// default; see `substrings::winnow`).
-    pub winnow_prefilter: bool,
     /// What a mining-pipeline failure does to the engine (degrade
     /// untraced by default; see [`FinderPolicy`]).
     pub finder_policy: FinderPolicy,
-    /// Route every task through the frozen per-task reference pipeline
-    /// instead of the batch-aware fast paths. The two produce
-    /// bit-identical op digests, reports, and stats — the reference exists
-    /// as the baseline the parity proptests and the `hot_path` bench
-    /// measure the fast paths against. Off by default.
-    pub reference_pipeline: bool,
 }
 
 impl Config {
@@ -331,12 +320,9 @@ impl Config {
             mining: MiningMode::Sync,
             mining_threads: 1,
             ingest: IngestSchedule::Opportunistic,
-            suffix_backend: SuffixBackend::default(),
             scoring: ScoringConfig::default(),
             capacity: CapacityConfig::default(),
-            winnow_prefilter: false,
             finder_policy: FinderPolicy::default(),
-            reference_pipeline: false,
         }
     }
 
@@ -392,29 +378,9 @@ impl Config {
         self
     }
 
-    /// Selects the suffix-array construction backend.
-    pub fn with_suffix_backend(mut self, backend: SuffixBackend) -> Self {
-        self.suffix_backend = backend;
-        self
-    }
-
-    /// Enables the winnowing pre-filter.
-    pub fn with_winnow_prefilter(mut self) -> Self {
-        self.winnow_prefilter = true;
-        self
-    }
-
     /// Selects the mining-failure policy.
     pub fn with_finder_policy(mut self, policy: FinderPolicy) -> Self {
         self.finder_policy = policy;
-        self
-    }
-
-    /// Routes every task through the frozen per-task reference pipeline
-    /// (see [`Config::reference_pipeline`]). Baselines only; the fast
-    /// paths are bit-identical and strictly faster.
-    pub fn with_reference_pipeline(mut self) -> Self {
-        self.reference_pipeline = true;
         self
     }
 
@@ -552,11 +518,9 @@ mod tests {
     #[test]
     fn performance_knob_defaults_and_builders() {
         let c = Config::standard();
-        assert_eq!(c.suffix_backend, SuffixBackend::Sais, "SA-IS is the default backend");
         assert_eq!(c.mining_threads, 1);
-        let c = c.with_mining_threads(0).with_suffix_backend(SuffixBackend::Doubling);
+        let c = c.with_mining_threads(0);
         assert_eq!(c.mining_threads, 1, "thread count clamps to >= 1");
-        assert_eq!(c.suffix_backend, SuffixBackend::Doubling);
         assert_eq!(c.with_mining_threads(4).mining_threads, 4);
     }
 

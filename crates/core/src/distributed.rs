@@ -32,10 +32,25 @@ pub struct DistributedAutoTracer {
 impl DistributedAutoTracer {
     /// Builds `rt_config.nodes` engines (at least one) running `config`
     /// as-is, normally under [`Config::with_agreed_ingest`].
-    pub fn new(mut rt_config: RuntimeConfig, config: Config) -> Self {
+    pub fn new(rt_config: RuntimeConfig, config: Config) -> Self {
+        Self::build(rt_config, config, AutoTracer::new)
+    }
+
+    /// Like [`Self::new`], but every node is an
+    /// [`AutoTracer::reference`] engine on the frozen per-task reference
+    /// pipeline (a test baseline; a restored deployment takes the fast
+    /// paths).
+    pub fn reference(rt_config: RuntimeConfig, config: Config) -> Self {
+        Self::build(rt_config, config, AutoTracer::reference)
+    }
+
+    fn build(
+        mut rt_config: RuntimeConfig,
+        config: Config,
+        engine: fn(RuntimeConfig, Config) -> AutoTracer,
+    ) -> Self {
         rt_config.nodes = rt_config.nodes.max(1);
-        let engines =
-            (0..rt_config.nodes).map(|_| AutoTracer::new(rt_config, config.clone())).collect();
+        let engines = (0..rt_config.nodes).map(|_| engine(rt_config, config.clone())).collect();
         Self { engines }
     }
 

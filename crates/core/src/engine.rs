@@ -15,7 +15,7 @@
 
 use crate::config::{Config, FinderPolicy, IngestSchedule};
 use crate::finder::{get_batch, put_batch, FinderError, MinedBatch, MiningPool, TraceFinder};
-use crate::metrics::{CapacitySample, CapacitySeries, TracedWindow, WarmupDetector};
+use crate::metrics::{TracedWindow, WarmupDetector};
 use crate::replayer::{ReplayerStats, TraceReplayer};
 use crate::snapshot::{get_config, put_config};
 use std::collections::VecDeque;
@@ -87,7 +87,6 @@ pub struct AutoTracer {
     replayer: TraceReplayer,
     window: TracedWindow,
     warmup: WarmupDetector,
-    capacity: CapacitySeries,
     prev: RuntimeStats,
     iter_traced: u64,
     iter_total: u64,
@@ -108,6 +107,17 @@ impl AutoTracer {
     /// `auto_layer` cost accounting (12 µs launches, §5.2 replay gating).
     pub fn new(rt_config: RuntimeConfig, config: Config) -> Self {
         Self::assemble(TraceFinder::new(&config), rt_config, config)
+    }
+
+    /// Like [`Self::new`], but every task takes the frozen per-task
+    /// reference pipeline ([`TraceReplayer::reference`]) instead of the
+    /// fast paths — the baseline the parity suites and the `hot_path`
+    /// bench measure against. Not part of the configuration or a
+    /// checkpoint: a restored engine takes the fast paths, which produce
+    /// bit-identical op digests, reports, and stats.
+    pub fn reference(rt_config: RuntimeConfig, config: Config) -> Self {
+        let replayer = TraceReplayer::reference(&config);
+        Self { replayer, ..Self::new(rt_config, config) }
     }
 
     /// Like [`Self::new`], but the finder submits mining jobs to `pool`
@@ -137,7 +147,6 @@ impl AutoTracer {
             rt: Runtime::new(rt_config.with_auto_layer()),
             window: TracedWindow::figure10(),
             warmup: WarmupDetector::default(),
-            capacity: CapacitySeries::new(),
             prev: RuntimeStats::default(),
             iter_traced: 0,
             iter_total: 0,
@@ -188,7 +197,7 @@ impl AutoTracer {
         if !due.is_empty() && !run.is_empty() {
             self.replayer.on_batch(run, &mut self.rt)?;
         }
-        self.ingest(&due);
+        due.iter().for_each(|batch| self.replayer.ingest(batch));
         Ok(hash)
     }
 
@@ -235,25 +244,6 @@ impl AutoTracer {
         due
     }
 
-    /// Ingests `batches`, then records one candidate-store footprint
-    /// sample if any landed.
-    fn ingest(&mut self, batches: &[MinedBatch]) {
-        if batches.is_empty() {
-            return;
-        }
-        for batch in batches {
-            self.replayer.ingest(batch);
-        }
-        let s = self.replayer.stats();
-        self.capacity.push(CapacitySample {
-            at_task: self.issued,
-            candidates: s.candidates,
-            trie_nodes: self.replayer.trie_node_count(),
-            allocated_nodes: self.replayer.trie_allocated_nodes(),
-            evicted: s.evicted_candidates,
-        });
-    }
-
     /// Under [`FinderPolicy::FailStop`], turns a degraded mining pipeline
     /// into a typed error at the next issue; under the default degrade
     /// policy this is free (the failure stays visible via
@@ -278,11 +268,6 @@ impl AutoTracer {
     /// The Figure 10 traced-fraction window.
     pub fn traced_window(&self) -> &TracedWindow {
         &self.window
-    }
-
-    /// The candidate-store footprint series (one sample per ingest).
-    pub fn capacity_series(&self) -> &CapacitySeries {
-        &self.capacity
     }
 
     /// Whether the mining pipeline is healthy; see
@@ -340,7 +325,6 @@ impl AutoTracer {
         self.replayer.write_snapshot(w);
         self.window.snapshot(w);
         self.warmup.snapshot(w);
-        self.capacity.snapshot(w);
         self.prev.snapshot(w);
         w.put_u64(self.iter_traced);
         w.put_u64(self.iter_total);
@@ -378,7 +362,6 @@ impl AutoTracer {
             replayer,
             window: TracedWindow::restore(r)?,
             warmup: WarmupDetector::restore(r)?,
-            capacity: CapacitySeries::restore(r)?,
             prev: RuntimeStats::restore(r)?,
             iter_traced: r.get_u64()?,
             iter_total: r.get_u64()?,
@@ -446,10 +429,10 @@ impl TaskIssuer for AutoTracer {
     /// issuance, and the runtime-stats delta and traced-window metrics are
     /// folded in once per batch instead of once per task.
     ///
-    /// Under [`Config::reference_pipeline`] every task takes the frozen
-    /// per-task path instead.
+    /// An engine built by [`AutoTracer::reference`] takes the frozen
+    /// per-task path for every task instead.
     fn issue_batch(&mut self, mut tasks: Vec<TaskDesc>) -> Result<(), RuntimeError> {
-        if self.config.reference_pipeline {
+        if self.replayer.is_reference() {
             let result = tasks.into_iter().try_for_each(|task| self.issue_one(task));
             self.absorb_stats();
             return result;
@@ -496,7 +479,7 @@ impl TaskIssuer for AutoTracer {
     fn flush(&mut self) -> Result<(), RuntimeError> {
         let due = self.due_batches(true);
         self.enforce_finder_policy()?;
-        self.ingest(&due);
+        due.iter().for_each(|batch| self.replayer.ingest(batch));
         self.replayer.flush(&mut self.rt)?;
         self.absorb_stats();
         Ok(())
@@ -641,11 +624,11 @@ mod tests {
         run_loop(&mut auto, 300);
         let s = auto.runtime().stats();
         assert!(s.replayed_fraction() > 0.5, "caps don't hurt a stable loop: {s}");
-        let series = auto.capacity_series();
-        assert!(!series.samples().is_empty(), "one sample per ingest");
-        assert!(series.peak_allocated_nodes() > 0);
-        let last = series.samples().last().unwrap();
-        assert!(last.candidates <= 8, "candidate cap held: {last:?}");
+        let r = auto.replayer_stats();
+        assert!(r.peak_trie_nodes > 0, "candidates were ingested: {r:?}");
+        assert!(r.peak_trie_bytes > 0, "{r:?}");
+        assert!(r.peak_candidates <= 8, "candidate cap held at every ingest: {r:?}");
+        assert!(r.candidates <= 8, "{r:?}");
         assert!(auto.finder_health().is_ok());
     }
 

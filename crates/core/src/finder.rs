@@ -36,10 +36,8 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use substrings::lzw::lzw_parse;
-use substrings::repeats::find_repeats_min_len_with;
+use substrings::repeats::find_repeats_min_len;
 use substrings::tandem::select_tandem_repeats;
-use substrings::winnow::{has_repetition_evidence, WinnowConfig};
-use substrings::SuffixBackend;
 use tasksim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use tasksim::task::TaskHash;
 
@@ -111,7 +109,6 @@ struct Job {
     global_start: u64,
     min_len: usize,
     algo: RepeatsAlgorithm,
-    backend: SuffixBackend,
     /// Test hook: makes the worker's `run_job` panic, exercising the
     /// panic-containment path.
     #[cfg(test)]
@@ -132,15 +129,10 @@ fn run_job(job: &Job) -> MinedBatch {
         occ.into_iter().map(|p| job.global_start + p as u64).collect()
     };
     let candidates = match job.algo {
-        RepeatsAlgorithm::QuickMatching => {
-            find_repeats_min_len_with(tokens, job.min_len, job.backend)
-                .into_iter()
-                .map(|r| MinedCandidate {
-                    content: r.content,
-                    occurrences: globalize(r.occurrences),
-                })
-                .collect()
-        }
+        RepeatsAlgorithm::QuickMatching => find_repeats_min_len(tokens, job.min_len)
+            .into_iter()
+            .map(|r| MinedCandidate { content: r.content, occurrences: globalize(r.occurrences) })
+            .collect(),
         RepeatsAlgorithm::TandemRepeats => select_tandem_repeats(tokens, job.min_len)
             .into_iter()
             .map(|r| MinedCandidate { content: r.content, occurrences: globalize(r.occurrences) })
@@ -344,7 +336,6 @@ pub struct TraceFinder {
     batch_size: usize,               // snapshot: derived (from Config)
     identifier: IdentifierAlgorithm, // snapshot: derived (from Config)
     algo: RepeatsAlgorithm,          // snapshot: derived (from Config)
-    backend: SuffixBackend,          // snapshot: derived (from Config)
     /// Recycled job token buffers awaiting reuse.
     // snapshot: derived — a recycling pool; fresh buffers are equivalent
     spare: Vec<Vec<TaskHash>>,
@@ -352,12 +343,8 @@ pub struct TraceFinder {
     /// (plus the one being built), buffers past that can never be handed
     /// out before another returns, so hoarding them is pure bloat.
     spare_cap: usize, // snapshot: derived (from Config)
-    /// Winnowing pre-filter parameters, when enabled.
-    prefilter: Option<WinnowConfig>, // snapshot: derived (from Config)
     /// Total analyses submitted (exposed for overhead accounting).
     pub jobs_submitted: u64,
-    /// Analyses skipped by the winnowing pre-filter.
-    pub jobs_prefiltered: u64,
     /// Test hook: poison the next submitted job so its worker panics.
     #[cfg(test)]
     pub(crate) poison_next: bool,
@@ -431,19 +418,9 @@ impl TraceFinder {
             batch_size: config.batch_size,
             identifier: config.identifier,
             algo: config.repeats,
-            backend: config.suffix_backend,
             spare: Vec::new(),
             spare_cap: config.mining_threads.max(1) + 1,
-            prefilter: config.winnow_prefilter.then(|| {
-                // Tune the winnowing guarantee to the minimum trace length:
-                // a slice with no duplicate fingerprints provably has no
-                // repeat ≥ min_trace_length, so mining it is pointless.
-                let k = 8.min(config.min_trace_length.max(2));
-                let w = (config.min_trace_length + 1).saturating_sub(k).max(1);
-                WinnowConfig { k, w }
-            }),
             jobs_submitted: 0,
-            jobs_prefiltered: 0,
             #[cfg(test)]
             poison_next: false,
         }
@@ -504,14 +481,6 @@ impl TraceFinder {
         buf
     }
 
-    /// Returns a job buffer to the recycle pool, dropping it when the
-    /// pool is already at [`Self::spare_cap`].
-    fn stash_spare(&mut self, buf: Vec<TaskHash>) {
-        if self.spare.len() < self.spare_cap {
-            self.spare.push(buf);
-        }
-    }
-
     /// Recycled buffers currently pooled (test hook for the spare bound).
     #[cfg(test)]
     pub(crate) fn spare_len(&self) -> usize {
@@ -531,20 +500,12 @@ impl TraceFinder {
         } else {
             tokens.extend_from_slice(&tail[from - head.len()..]);
         }
-        if let Some(cfg) = self.prefilter {
-            if !has_repetition_evidence(&tokens, cfg) {
-                self.jobs_prefiltered += 1;
-                self.stash_spare(tokens);
-                return; // Provably nothing long enough to trace.
-            }
-        }
         let job = Job {
             id: self.next_job,
             tokens,
             global_start: self.buffer_start + from as u64,
             min_len: self.min_len,
             algo: self.algo,
-            backend: self.backend,
             #[cfg(test)]
             poison: std::mem::take(&mut self.poison_next),
         };
@@ -553,7 +514,9 @@ impl TraceFinder {
         match &mut self.miner {
             Miner::Sync { done } => {
                 done.push_back(run_job(&job));
-                self.stash_spare(job.tokens);
+                if self.spare.len() < self.spare_cap {
+                    self.spare.push(job.tokens);
+                }
             }
             Miner::Pool { pool, res_tx, recycle_tx, panic_tx, in_flight, lost_jobs, .. } => {
                 // A dead pool (all workers gone, channel closed) must not
@@ -762,7 +725,6 @@ impl TraceFinder {
         w.put_u64(self.sampler.firings());
         w.put_u64(self.next_job);
         w.put_u64(self.jobs_submitted);
-        w.put_u64(self.jobs_prefiltered);
         let (completed, lost_jobs, first_panic): (Vec<&MinedBatch>, usize, Option<u64>) =
             match &self.miner {
                 Miner::Sync { done } => (done.iter().collect(), 0, None),
@@ -797,7 +759,6 @@ impl TraceFinder {
         f.sampler.restore_counts(arrivals, firings);
         f.next_job = r.get_u64()?;
         f.jobs_submitted = r.get_u64()?;
-        f.jobs_prefiltered = r.get_u64()?;
         let completed = r.get_seq(get_batch)?;
         let lost = r.get_len()?;
         let panicked = r.get_opt_u64()?;
@@ -1042,16 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn suffix_backend_never_changes_results() {
-        let mine = |backend| {
-            let mut f = TraceFinder::new(&cfg().with_suffix_backend(backend));
-            feed_pattern(&mut f, &[3, 1, 4, 1, 5, 9, 2, 6], 12);
-            f.drain_blocking()
-        };
-        assert_eq!(mine(SuffixBackend::Sais), mine(SuffixBackend::Doubling));
-    }
-
-    #[test]
     fn lzw_algorithm_produces_candidates() {
         let mut c = cfg();
         c.repeats = RepeatsAlgorithm::Lzw;
@@ -1089,38 +1040,6 @@ mod tests {
         let batches = f.drain_blocking();
         let any = batches.iter().any(|b| !b.candidates.is_empty());
         assert!(any, "tandem miner found the contiguous loop");
-    }
-
-    #[test]
-    fn winnow_prefilter_skips_repeat_free_slices() {
-        let mut c = cfg().with_winnow_prefilter();
-        c.min_trace_length = 6;
-        let mut f = TraceFinder::new(&c);
-        // All-distinct tokens: every mining job is provably pointless.
-        for t in 0..512u64 {
-            f.record(TaskHash(1_000_000 + t));
-        }
-        assert!(f.jobs_prefiltered > 0, "prefilter engaged");
-        assert_eq!(f.jobs_submitted, 0, "no futile jobs submitted");
-        assert!(f.poll_completed().is_empty());
-    }
-
-    #[test]
-    fn winnow_prefilter_preserves_findings_on_periodic_streams() {
-        let mut with = TraceFinder::new(&cfg().with_winnow_prefilter());
-        let mut without = TraceFinder::new(&cfg());
-        feed_pattern(&mut with, &[1, 2, 3, 4, 5, 6], 24);
-        feed_pattern(&mut without, &[1, 2, 3, 4, 5, 6], 24);
-        let a = with.drain_blocking();
-        let b = without.drain_blocking();
-        // The prefilter may renumber jobs but must find the same candidates.
-        let ca: Vec<_> = a.iter().flat_map(|x| x.candidates.clone()).collect();
-        let cb: Vec<_> = b.iter().flat_map(|x| x.candidates.clone()).collect();
-        assert_eq!(ca, cb, "prefilter never changes mining results");
-        // Short suffix slices may legitimately be filtered (an 8-token
-        // slice of a 6-period stream holds no in-slice repeat), but the
-        // larger slices must pass and produce the same candidates.
-        assert!(with.jobs_submitted > 0, "long slices pass the filter");
     }
 
     #[test]

@@ -91,8 +91,7 @@ pub use config::{
 pub use distributed::DistributedAutoTracer;
 pub use engine::{AgreementStats, AutoTracer};
 pub use finder::{FinderError, MinedBatch, MinedCandidate, MiningPool, TraceFinder};
-pub use metrics::{CapacitySample, CapacitySeries, TracedWindow, WarmupDetector};
+pub use metrics::{TracedWindow, WarmupDetector};
 pub use replayer::{TraceReplayer, TraceSink};
 pub use session::{Session, SessionBuilder, Tracing};
 pub use snapshot::{CheckpointMeta, SnapshotError};
-pub use substrings::SuffixBackend;

@@ -1,5 +1,4 @@
-//! Instrumentation behind the paper's Figure 9 and Figure 10, plus the
-//! memory-bound telemetry the trace lifecycle exposes.
+//! Instrumentation behind the paper's Figure 9 and Figure 10.
 //!
 //! * [`TracedWindow`] — for every forwarded task, the fraction of the last
 //!   `W` tasks that ran inside a trace (Figure 10 plots this for S3D with
@@ -7,78 +6,15 @@
 //! * [`WarmupDetector`] — the number of application iterations until
 //!   Apophenia reaches a steady state of replaying traces (Figure 9's
 //!   table; 30–300 iterations across the paper's applications).
-//! * [`CapacitySeries`] — per-ingest samples of the candidate-store
-//!   footprint (live candidates, live/allocated trie nodes, cumulative
-//!   evictions), the series behind the soak bench's peak-memory report.
 
 use std::collections::VecDeque;
 use tasksim::snapshot::{Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// One sample of the candidate-store footprint, taken after a mining
-/// batch was ingested (and any eviction ran).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapacitySample {
-    /// Stream position (tasks issued so far) at the sample.
-    pub at_task: u64,
-    /// Live candidates in the trie.
-    pub candidates: usize,
-    /// Live trie nodes (including the root).
-    pub trie_nodes: usize,
-    /// Allocated trie node slots (live + free-listed).
-    pub allocated_nodes: usize,
-    /// Candidates evicted so far.
-    pub evicted: u64,
-}
-
-/// Records the candidate-store footprint over the stream — the memory
-/// trajectory the [`CapacityConfig`](crate::config::CapacityConfig)
-/// bounds are meant to flatten.
-///
-/// The series itself is bounded (it would be ironic otherwise): past
-/// [`Self::MAX_SAMPLES`] entries it halves its resolution by dropping
-/// every second sample, so arbitrarily long streams keep a fixed-size
-/// sketch of the whole trajectory instead of growing linearly.
-#[derive(Debug, Clone, Default)]
-pub struct CapacitySeries {
-    samples: Vec<CapacitySample>,
-    peak_allocated: usize,
-}
-
-impl CapacitySeries {
-    /// Retention bound: the series decimates itself past this length.
-    pub const MAX_SAMPLES: usize = 4096;
-
-    /// An empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one post-ingest sample.
-    pub fn push(&mut self, sample: CapacitySample) {
-        self.peak_allocated = self.peak_allocated.max(sample.allocated_nodes);
-        self.samples.push(sample);
-        if self.samples.len() > Self::MAX_SAMPLES {
-            // Keep every other sample: half the resolution, full span.
-            let mut keep = false;
-            self.samples.retain(|_| {
-                keep = !keep;
-                keep
-            });
-        }
-    }
-
-    /// The recorded samples, in stream order.
-    pub fn samples(&self) -> &[CapacitySample] {
-        &self.samples
-    }
-
-    /// Largest allocated-node footprint ever sampled.
-    pub fn peak_allocated_nodes(&self) -> usize {
-        self.peak_allocated
-    }
-}
-
 /// Rolling traced-fraction tracker (Figure 10).
+///
+/// The sample series is bounded: past [`Self::MAX_SAMPLES`] entries it
+/// keeps every second sample and doubles the sampling interval, so an
+/// unbounded stream keeps an evenly spaced sketch of the whole run.
 #[derive(Debug, Clone)]
 pub struct TracedWindow {
     window: usize,
@@ -91,8 +27,12 @@ pub struct TracedWindow {
 }
 
 impl TracedWindow {
+    /// Retention bound: the series decimates itself past this length.
+    pub const MAX_SAMPLES: usize = 4096;
+
     /// Tracks the last `window` tasks, sampling the percentage every
-    /// `sample_every` tasks.
+    /// `sample_every` tasks (an interval that doubles each time the series
+    /// is decimated).
     ///
     /// # Panics
     ///
@@ -126,6 +66,14 @@ impl TracedWindow {
         self.count += 1;
         if self.count.is_multiple_of(self.sample_every) {
             self.samples.push((self.count, self.percent()));
+            if self.samples.len() > Self::MAX_SAMPLES {
+                // Every sample sits on a multiple of the old interval, so
+                // this keeps every second one: half the resolution, full
+                // span, even spacing.
+                self.sample_every = self.sample_every.saturating_mul(2);
+                let every = self.sample_every;
+                self.samples.retain(|&(at, _)| at.is_multiple_of(every));
+            }
         }
     }
 
@@ -219,36 +167,6 @@ impl Default for WarmupDetector {
     }
 }
 
-impl Snapshot for CapacitySeries {
-    fn snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_seq(&self.samples, |w, s| {
-            w.put_u64(s.at_task);
-            w.put_len(s.candidates);
-            w.put_len(s.trie_nodes);
-            w.put_len(s.allocated_nodes);
-            w.put_u64(s.evicted);
-        });
-        w.put_len(self.peak_allocated);
-    }
-}
-
-impl Restore for CapacitySeries {
-    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            samples: r.get_seq(|r| {
-                Ok(CapacitySample {
-                    at_task: r.get_u64()?,
-                    candidates: r.get_len()?,
-                    trie_nodes: r.get_len()?,
-                    allocated_nodes: r.get_len()?,
-                    evicted: r.get_u64()?,
-                })
-            })?,
-            peak_allocated: r.get_len()?,
-        })
-    }
-}
-
 impl Snapshot for TracedWindow {
     fn snapshot(&self, w: &mut SnapshotWriter) {
         w.put_len(self.window);
@@ -271,6 +189,9 @@ impl Restore for TracedWindow {
         }
         let traced_in_ring = ring.iter().filter(|&&b| b).count();
         let samples = r.get_seq(|r| Ok((r.get_u64()?, r.get_f64()?)))?;
+        if samples.len() > Self::MAX_SAMPLES {
+            return Err(SnapshotError::Corrupt("traced-window samples exceed their bound".into()));
+        }
         let sample_every = r.get_u64()?;
         if sample_every == 0 {
             return Err(SnapshotError::Corrupt("traced-window sample interval is zero".into()));
@@ -382,45 +303,24 @@ mod tests {
     }
 
     #[test]
-    fn capacity_series_tracks_peak() {
-        let mut s = CapacitySeries::new();
-        assert_eq!(s.peak_allocated_nodes(), 0);
-        for (i, alloc) in [10, 40, 25].into_iter().enumerate() {
-            s.push(CapacitySample {
-                at_task: i as u64 * 100,
-                candidates: 3,
-                trie_nodes: alloc - 2,
-                allocated_nodes: alloc,
-                evicted: i as u64,
-            });
-        }
-        assert_eq!(s.samples().len(), 3);
-        assert_eq!(s.peak_allocated_nodes(), 40, "peak survives later shrinkage");
-        assert_eq!(s.samples()[2].evicted, 2);
-    }
-
-    #[test]
-    fn capacity_series_is_itself_bounded() {
-        let mut s = CapacitySeries::new();
-        let n = CapacitySeries::MAX_SAMPLES * 4;
+    fn traced_samples_stay_bounded_and_span_the_run() {
+        // Figure 10's configuration over a run 400× longer than Figure 10.
+        let mut w = TracedWindow::figure10();
+        let n = 4 * TracedWindow::MAX_SAMPLES as u64 * 100;
         for i in 0..n {
-            s.push(CapacitySample {
-                at_task: i as u64,
-                candidates: 1,
-                trie_nodes: 1,
-                allocated_nodes: i,
-                evicted: 0,
-            });
+            w.push(i % 3 != 0);
         }
-        assert!(s.samples().len() <= CapacitySeries::MAX_SAMPLES, "{}", s.samples().len());
-        assert!(s.samples().len() > CapacitySeries::MAX_SAMPLES / 4, "sketch keeps resolution");
-        // The sketch still spans the whole stream and the peak is exact.
-        assert_eq!(s.peak_allocated_nodes(), n - 1);
-        let last = s.samples().last().unwrap().at_task;
-        assert!(last >= (n as u64) * 3 / 4, "span preserved: last sample at {last}");
-        // Stream order is preserved through decimation.
-        for w in s.samples().windows(2) {
-            assert!(w[0].at_task < w[1].at_task);
+        let samples = w.samples();
+        assert!(samples.len() <= TracedWindow::MAX_SAMPLES, "{}", samples.len());
+        assert!(samples.len() > TracedWindow::MAX_SAMPLES / 4, "sketch keeps resolution");
+        // Evenly spaced from the start of the run to its end.
+        let step = samples[0].0;
+        assert!(step <= n / 1000, "first sample at {step}");
+        for (k, &(at, pct)) in samples.iter().enumerate() {
+            assert_eq!(at, step * (k as u64 + 1), "sample {k}");
+            assert!((0.0..=100.0).contains(&pct));
         }
+        let last = samples.last().unwrap().0;
+        assert!(last + step > n, "span preserved: last sample at {last} of {n}");
     }
 }

@@ -256,9 +256,11 @@ pub struct TraceReplayer {
     /// Global index of the next arriving task.
     now: u64,
     stats: ReplayerStats,
-    /// `Config::reference_pipeline`: route through the frozen per-task
-    /// reference path instead of the fast paths.
-    reference: bool, // snapshot: derived (from Config)
+    /// Built by [`Self::reference`]: route through the frozen per-task
+    /// reference path instead of the fast paths. A test baseline, never
+    /// persisted: a restored replayer takes the fast paths, which are
+    /// bit-identical.
+    reference: bool, // snapshot: derived
     /// Bumped on every trie mutation (ingest); guards [`ReplayMemo`].
     /// A restored replayer starts at epoch zero with a cold memo, which
     /// only costs one generic step before the fast path re-engages.
@@ -300,7 +302,7 @@ impl TraceReplayer {
             next_trace: 0,
             now: 0,
             stats: ReplayerStats::default(),
-            reference: config.reference_pipeline,
+            reference: false,
             trie_epoch: 0,
             fast_pos: None,
             memo: ReplayMemo::default(),
@@ -311,6 +313,18 @@ impl TraceReplayer {
             scratch_ranked: Vec::new(),
             scratch_dead: HashSet::new(),
         }
+    }
+
+    /// A replayer that feeds every task through the frozen per-task
+    /// reference pipeline: the pre-optimization recognizer the fast paths
+    /// are pinned against by the parity suites and the `hot_path` bench.
+    pub fn reference(config: &Config) -> Self {
+        Self { reference: true, ..Self::new(config) }
+    }
+
+    /// Whether this replayer was built by [`Self::reference`].
+    pub(crate) fn is_reference(&self) -> bool {
+        self.reference
     }
 
     /// Ingests mined candidates: splits them into pieces of at most
@@ -722,10 +736,9 @@ impl TraceReplayer {
         Ok(())
     }
 
-    /// The frozen per-task reference pipeline (see
-    /// [`Config::reference_pipeline`]): the pre-optimization recognizer
-    /// step, kept verbatim as the behavioral baseline the fast paths are
-    /// pinned against.
+    /// The frozen per-task reference pipeline (see [`Self::reference`]):
+    /// the pre-optimization recognizer step, kept verbatim as the
+    /// behavioral baseline the fast paths are pinned against.
     fn on_task_reference<S: TraceSink>(
         &mut self,
         desc: TaskDesc,

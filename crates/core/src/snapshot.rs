@@ -3,7 +3,10 @@
 //!
 //! The codec itself (writer/reader, envelope, version policy) lives in
 //! [`tasksim::snapshot`] and is re-exported here; this module adds the
-//! [`Config`] codec and documents how the front-ends compose the layers:
+//! [`Config`] codec — every field a deployment sets, nothing a test
+//! baseline selects (the frozen reference pipeline is chosen by
+//! construction, so a restored engine always takes the fast paths) — and
+//! documents how the front-ends compose the layers:
 //!
 //! * [`tasksim::Runtime`](tasksim::runtime::Runtime) serializes the
 //!   region forest, analyzer frontiers, template store (with the shared
@@ -18,7 +21,7 @@
 //!   buffer, sampler counters, completed-but-unpolled batches, and
 //!   pipeline health;
 //! * [`crate::engine::AutoTracer`] stitches those together with its
-//!   metrics and its agreement queue behind
+//!   Figure 9/10 metrics and its agreement queue behind
 //!   [`TaskIssuer::checkpoint`](tasksim::issuer::TaskIssuer::checkpoint);
 //!   [`crate::distributed::DistributedAutoTracer`] writes a node count
 //!   followed by one engine payload per node, all cut at the same
@@ -37,16 +40,13 @@ use crate::config::{
     CapacityConfig, Config, DelayModel, FinderPolicy, IdentifierAlgorithm, IngestSchedule,
     MiningMode, RepeatsAlgorithm, ScoringConfig,
 };
-use substrings::SuffixBackend;
 pub use tasksim::snapshot::{
     read_envelope, write_envelope, CheckpointMeta, Restore, Snapshot, SnapshotError,
     SnapshotReader, SnapshotWriter, FORMAT_VERSION, FRONT_END_AUTO, FRONT_END_DISTRIBUTED,
     FRONT_END_RUNTIME,
 };
 
-/// Writes a [`Config`] into a payload. (A helper rather than a
-/// [`Snapshot`] impl for the [`SuffixBackend`] piece, which is foreign to
-/// both the trait's and the codec's crates.)
+/// Writes a [`Config`] into a payload.
 pub fn put_config(w: &mut SnapshotWriter, c: &Config) {
     w.put_len(c.min_trace_length);
     w.put_opt_len(c.max_trace_length);
@@ -66,10 +66,6 @@ pub fn put_config(w: &mut SnapshotWriter, c: &Config) {
         MiningMode::Async => 1,
     });
     w.put_len(c.mining_threads);
-    w.put_u8(match c.suffix_backend {
-        SuffixBackend::Doubling => 0,
-        SuffixBackend::Sais => 1,
-    });
     w.put_u32(c.scoring.count_cap);
     w.put_f64(c.scoring.staleness_half_life);
     w.put_f64(c.scoring.replay_bonus);
@@ -77,7 +73,6 @@ pub fn put_config(w: &mut SnapshotWriter, c: &Config) {
     w.put_opt_len(c.capacity.max_trie_nodes);
     w.put_opt_len(c.capacity.max_trie_bytes);
     w.put_opt_len(c.capacity.max_template_bytes);
-    w.put_bool(c.winnow_prefilter);
     w.put_u8(match c.finder_policy {
         FinderPolicy::DegradeUntraced => 0,
         FinderPolicy::FailStop => 1,
@@ -92,7 +87,6 @@ pub fn put_config(w: &mut SnapshotWriter, c: &Config) {
             w.put_u64(delay.max_delay);
         }
     }
-    w.put_bool(c.reference_pipeline);
 }
 
 /// Reads a [`Config`] written by [`put_config`].
@@ -124,11 +118,6 @@ pub fn get_config(r: &mut SnapshotReader<'_>) -> Result<Config, SnapshotError> {
             t => return Err(bad("mining", t)),
         },
         mining_threads: r.get_len()?,
-        suffix_backend: match r.get_u8()? {
-            0 => SuffixBackend::Doubling,
-            1 => SuffixBackend::Sais,
-            t => return Err(bad("suffix backend", t)),
-        },
         scoring: ScoringConfig {
             count_cap: r.get_u32()?,
             staleness_half_life: r.get_f64()?,
@@ -140,7 +129,6 @@ pub fn get_config(r: &mut SnapshotReader<'_>) -> Result<Config, SnapshotError> {
             max_trie_bytes: r.get_opt_len()?,
             max_template_bytes: r.get_opt_len()?,
         },
-        winnow_prefilter: r.get_bool()?,
         finder_policy: match r.get_u8()? {
             0 => FinderPolicy::DegradeUntraced,
             1 => FinderPolicy::FailStop,
@@ -155,7 +143,6 @@ pub fn get_config(r: &mut SnapshotReader<'_>) -> Result<Config, SnapshotError> {
             },
             t => return Err(bad("ingest schedule", t)),
         },
-        reference_pipeline: r.get_bool()?,
     })
 }
 
@@ -165,6 +152,8 @@ mod tests {
 
     #[test]
     fn config_round_trips_every_knob() {
+        // Every field differs from `Config::standard()`, so a field the
+        // codec dropped or misordered could not round-trip.
         let mut c = Config::standard()
             .with_max_trace_length(200)
             .with_min_trace_length(7)
@@ -173,8 +162,6 @@ mod tests {
             .with_async_mining()
             .with_mining_threads(3)
             .with_gated_ingest()
-            .with_suffix_backend(SuffixBackend::Doubling)
-            .with_winnow_prefilter()
             .with_max_candidates(9)
             .with_max_trie_nodes(99)
             .with_max_trie_bytes(4096)
@@ -182,8 +169,45 @@ mod tests {
             .with_finder_policy(FinderPolicy::FailStop);
         c.identifier = IdentifierAlgorithm::FixedBatch;
         c.repeats = RepeatsAlgorithm::Lzw;
+        c.scoring.count_cap = 5;
+        c.scoring.staleness_half_life = 100.0;
         c.scoring.replay_bonus = 0.5;
-        c.reference_pipeline = true;
+        // Exhaustive, so a new field fails to compile here until it is
+        // set off its default above and round-trips below.
+        let Config {
+            min_trace_length,
+            max_trace_length,
+            batch_size,
+            multi_scale_factor,
+            identifier,
+            repeats,
+            mining,
+            mining_threads,
+            ingest,
+            scoring,
+            capacity,
+            finder_policy,
+        } = Config::standard();
+        let differs = [
+            c.min_trace_length != min_trace_length,
+            c.max_trace_length != max_trace_length,
+            c.batch_size != batch_size,
+            c.multi_scale_factor != multi_scale_factor,
+            c.identifier != identifier,
+            c.repeats != repeats,
+            c.mining != mining,
+            c.mining_threads != mining_threads,
+            c.ingest != ingest,
+            c.scoring.count_cap != scoring.count_cap,
+            c.scoring.staleness_half_life != scoring.staleness_half_life,
+            c.scoring.replay_bonus != scoring.replay_bonus,
+            c.capacity.max_candidates != capacity.max_candidates,
+            c.capacity.max_trie_nodes != capacity.max_trie_nodes,
+            c.capacity.max_trie_bytes != capacity.max_trie_bytes,
+            c.capacity.max_template_bytes != capacity.max_template_bytes,
+            c.finder_policy != finder_policy,
+        ];
+        assert!(differs.iter().all(|&d| d), "every knob set off its default: {differs:?}");
         let round_trip = |c: &Config| {
             let mut w = SnapshotWriter::new();
             put_config(&mut w, c);

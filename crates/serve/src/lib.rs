@@ -69,7 +69,7 @@
 
 use apophenia::session::{Session, Tracing};
 use apophenia::{Config, MiningPool};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use tasksim::exec::LogStats;
 use tasksim::ids::RegionId;
 use tasksim::issuer::{RunArtifacts, TaskIssuer};
@@ -223,45 +223,10 @@ impl From<RuntimeError> for ServeError {
     }
 }
 
-/// One footprint observation, recorded after each admitted submission —
-/// the service-level analogue of the engine's capacity series, built
-/// entirely from the [`TaskIssuer`] trait surface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FootprintSample {
-    /// Tasks the tenant had issued when the sample was taken.
-    pub at_task: u64,
-    /// Candidate-trie bytes (deterministic model).
-    pub trie_bytes: usize,
-    /// Template-store bytes (deterministic model).
-    pub template_bytes: u64,
-    /// End-to-end buffered operations.
-    pub buffered: usize,
-}
-
-/// How many trailing [`FootprintSample`]s each tenant retains.
-const SERIES_CAP: usize = 256;
-
 struct Tenant {
     issuer: Box<dyn TaskIssuer>,
     label: &'static str,
     busy_rejections: u64,
-    series: VecDeque<FootprintSample>,
-}
-
-impl Tenant {
-    fn sample(&mut self) {
-        let stats = self.issuer.stats();
-        let (trie_bytes, _) = self.issuer.trie_footprint();
-        if self.series.len() == SERIES_CAP {
-            self.series.pop_front();
-        }
-        self.series.push_back(FootprintSample {
-            at_task: stats.tasks_total,
-            trie_bytes,
-            template_bytes: stats.template_bytes,
-            buffered: self.issuer.buffered_ops().total(),
-        });
-    }
 }
 
 /// One tenant's rolled-up view for the metrics snapshot.
@@ -416,8 +381,7 @@ impl TraceService {
             .tracing(tracing)
             .mining_pool(&self.pool)
             .build();
-        self.tenants
-            .insert(stream, Tenant { issuer, label, busy_rejections: 0, series: VecDeque::new() });
+        self.tenants.insert(stream, Tenant { issuer, label, busy_rejections: 0 });
         Ok(())
     }
 
@@ -467,7 +431,6 @@ impl TraceService {
             }
         }
         t.issuer.issue_batch(tasks)?;
-        t.sample();
         Ok(())
     }
 
@@ -508,10 +471,7 @@ impl TraceService {
     ///
     /// [`ServeError::UnknownTenant`] or a wrapped [`RuntimeError`].
     pub fn flush(&mut self, stream: StreamId) -> Result<(), ServeError> {
-        let t = self.tenant_mut(stream)?;
-        t.issuer.flush()?;
-        t.sample();
-        Ok(())
+        Ok(self.tenant_mut(stream)?.issuer.flush()?)
     }
 
     /// Deregisters a tenant and returns its run artifacts (flushing
@@ -531,12 +491,6 @@ impl TraceService {
     /// does not wrap (checkpointing, op digests, warmup queries).
     pub fn issuer_mut(&mut self, stream: StreamId) -> Option<&mut (dyn TaskIssuer + '_)> {
         self.tenants.get_mut(&stream).map(|t| &mut *t.issuer as _)
-    }
-
-    /// A tenant's trailing footprint series (one sample per admitted
-    /// submission, last [`SERIES_CAP`] retained).
-    pub fn footprint_series(&self, stream: StreamId) -> Option<Vec<FootprintSample>> {
-        self.tenants.get(&stream).map(|t| t.series.iter().copied().collect())
     }
 
     /// One tenant's rolled-up metrics. `&mut self` because health
@@ -812,10 +766,11 @@ mod tests {
         assert_eq!(fleet.tasks_total, 240);
         assert!(fleet.tasks_replayed > 0);
         assert!(fleet.ops_pushed >= fleet.tasks_total);
-        // The footprint series sampled each admitted submission.
-        let series = svc.footprint_series(StreamId(4)).unwrap();
-        assert!(!series.is_empty() && series.len() <= SERIES_CAP);
-        assert!(series.windows(2).all(|w| w[0].at_task <= w[1].at_task));
+        // Per-tenant footprints: current and peak, trie and templates.
+        let m = svc.tenant_metrics(StreamId(4)).unwrap();
+        assert!(m.trie_bytes > 0 && m.peak_trie_bytes >= m.trie_bytes, "{m:?}");
+        assert!(m.stats.peak_template_bytes >= m.stats.template_bytes, "{m:?}");
+        assert!(m.stats.template_bytes > 0, "{m:?}");
     }
 
     #[test]

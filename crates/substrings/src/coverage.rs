@@ -78,11 +78,6 @@ impl<T: Token> Matching<T> {
         self.entries.push((trace, intervals));
     }
 
-    /// Number of traces, `|T|`.
-    pub fn trace_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Total number of matched intervals, `Σ_t |f(t)|`.
     pub fn interval_count(&self) -> usize {
         self.entries.iter().map(|(_, ivs)| ivs.len()).sum()

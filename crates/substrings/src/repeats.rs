@@ -431,6 +431,29 @@ mod tests {
                 }
             }
 
+            /// The suffix-array backend never changes what Algorithm 2
+            /// mines: SA-IS and prefix doubling select identical repeats
+            /// on noisy periodic task-hash streams (the finder's input
+            /// shape) at every minimum length.
+            #[test]
+            fn sais_and_doubling_mine_identically(
+                period in proptest::collection::vec(any::<u64>(), 1..12),
+                noise in proptest::collection::vec((0usize..400, any::<u64>()), 0..8),
+                len in 0usize..400,
+                min_len in 1usize..6,
+            ) {
+                let mut s: Vec<u64> = (0..len).map(|i| period[i % period.len()]).collect();
+                for (at, tok) in noise {
+                    if at < s.len() {
+                        s[at] = tok;
+                    }
+                }
+                prop_assert_eq!(
+                    find_repeats_min_len_with(&s, min_len, SuffixBackend::Sais),
+                    find_repeats_min_len_with(&s, min_len, SuffixBackend::Doubling)
+                );
+            }
+
             /// Every substring the miner reports really does occur at least
             /// twice in the input (possibly overlapping).
             #[test]

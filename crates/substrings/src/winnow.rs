@@ -6,10 +6,10 @@
 //! any repetition of length ≥ `w + k − 1` shares at least one selected
 //! fingerprint. The paper's observation is that fingerprints detect
 //! *whether* repetition exists but "do not directly aid in finding the
-//! sub-strings themselves that have high coverage" — so here they serve as
-//! the cheap pre-filter the trace finder can consult before paying for a
-//! full Algorithm 2 pass: a buffer slice whose fingerprint multiset has no
-//! duplicates provably contains no repeat long enough to trace.
+//! sub-strings themselves that have high coverage" — so here they are only
+//! a cheap existence test: a slice whose fingerprint multiset has no
+//! duplicates provably contains no repeat long enough to trace. The trace
+//! finder does not consult it; it always runs Algorithm 2.
 
 use crate::Token;
 use std::collections::HashMap;

@@ -71,11 +71,6 @@ impl IndexLaunch {
         self.project(parts, Privilege::ReadWrite)
     }
 
-    /// Point `i` reduces into `parts[i]`.
-    pub fn projects_reduces(self, parts: &[RegionId], op: ReductionOp) -> Self {
-        self.project(parts, Privilege::Reduce(op))
-    }
-
     /// Every point reads the whole of `region` (a broadcast argument, like
     /// simulation constants).
     pub fn broadcasts(mut self, region: RegionId) -> Self {

@@ -189,11 +189,6 @@ impl RegionForest {
         deep == shallow
     }
 
-    /// Number of regions ever created (live and destroyed).
-    pub fn total_created(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn depth(&self, r: RegionId) -> u32 {
         self.nodes.get(r.index()).map_or(0, |n| n.depth)
     }

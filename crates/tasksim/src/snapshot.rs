@@ -53,7 +53,10 @@ pub const MAGIC: [u8; 4] = *b"APSN";
 /// and delay model) replaced the gated-ingest flag; each automatic
 /// engine carries its agreement counters and queue; a distributed
 /// snapshot is a node count followed by one engine payload per node.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5: the serialized configuration lost the suffix-backend tag, the
+/// winnow flag and the reference-pipeline selector; the finder lost its
+/// prefiltered-job counter and the engine its capacity series.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Front-end tag: a bare [`crate::runtime::Runtime`] (untraced or
 /// manually annotated).

@@ -12,16 +12,19 @@
 //!   the bit) and the same op-stream digest as the run that never
 //!   stopped.
 //! * Taking a checkpoint must not perturb the run that keeps going.
+//! * The frozen reference pipeline is not persisted: a reference-mode
+//!   engine resumes onto the fast paths and still finishes bit-identically
+//!   to the uninterrupted reference run.
 //! * Corrupt, truncated, retagged, or future-versioned snapshots are
 //!   rejected with typed [`SnapshotError`]s, never a panic or a silently
 //!   divergent restore.
 
-use apophenia::{Config, DelayModel, Session, SnapshotError, Tracing};
+use apophenia::{AutoTracer, Config, DelayModel, Session, SnapshotError, Tracing};
 use tasksim::cost::Micros;
 use tasksim::exec::LogRetention;
 use tasksim::ids::{RegionId, TaskKindId, TraceId};
 use tasksim::issuer::TaskIssuer;
-use tasksim::runtime::RuntimeError;
+use tasksim::runtime::{RuntimeConfig, RuntimeError};
 use tasksim::snapshot as snap;
 use tasksim::task::TaskDesc;
 
@@ -149,6 +152,49 @@ fn restored_run_is_bit_identical_for_every_front_end_and_retention() {
                     assert!(resumed.log.is_none(), "{label}: drained run kept a log")
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn reference_engine_resumes_onto_the_fast_paths_bit_identically() {
+    // The reference pipeline is chosen by construction and never reaches
+    // a snapshot, so the restored engine continues on the fast paths. The
+    // parity suites prove those bit-identical; here the switch happens
+    // mid-stream, at cuts before, during, and well into steady replay.
+    let reference = |retention| {
+        let rt = RuntimeConfig::multi_node(2, 2).with_log_retention(retention);
+        Box::new(AutoTracer::reference(rt, small_auto())) as Box<dyn TaskIssuer>
+    };
+    for retention in [LogRetention::Full, LogRetention::Drain] {
+        let mut straight = reference(retention);
+        drive_range(straight.as_mut(), false, 0, ITERS);
+        straight.flush().unwrap();
+        let straight_digest = straight.op_digest();
+        let straight = straight.finish().unwrap();
+        assert!(straight.stats.tasks_replayed > 0, "the reference run traced: {}", straight.stats);
+
+        for cut in [13, 47, 88] {
+            let label = format!("{retention:?} cut at {cut}");
+            let mut victim = reference(retention);
+            drive_range(victim.as_mut(), false, 0, cut);
+            let mut bytes = Vec::new();
+            let meta = victim.checkpoint(&mut bytes).unwrap();
+            drop(victim);
+
+            let mut resumed = Session::resume_from(&mut bytes.as_slice()).unwrap();
+            assert_eq!(resumed.op_digest(), meta.op_digest, "{label}: restored digest");
+            drive_range(resumed.as_mut(), false, cut, ITERS);
+            resumed.flush().unwrap();
+            assert_eq!(resumed.op_digest(), straight_digest, "{label}: op digest diverged");
+            let resumed = resumed.finish().unwrap();
+            assert_eq!(straight.stats, resumed.stats, "{label}: runtime counters diverged");
+            assert_eq!(straight.report, resumed.report, "{label}: SimReport diverged");
+            assert_eq!(
+                straight.report.total.0.to_bits(),
+                resumed.report.total.0.to_bits(),
+                "{label}: clocks diverged at the bit level"
+            );
         }
     }
 }

@@ -18,11 +18,12 @@
 //!   then `simulate(&OpLog)` in one batch pass), for every front-end and
 //!   across randomized program shapes (proptest below).
 
-use apophenia::{Config, DelayModel, Session, Tracing};
+use apophenia::{AutoTracer, Config, DelayModel, DistributedAutoTracer, Session, Tracing};
 use tasksim::cost::Micros;
 use tasksim::exec::{simulate, LogOp, LogRetention, OpLog, SimReport};
 use tasksim::ids::{TaskKindId, TraceId};
 use tasksim::issuer::{RunArtifacts, TaskIssuer};
+use tasksim::runtime::RuntimeConfig;
 use tasksim::task::{TaskDesc, TaskHash};
 
 const ITERS: usize = 200;
@@ -40,14 +41,11 @@ fn all_tracings() -> Vec<Tracing> {
     ]
 }
 
-/// The two automatically traced front-ends, either on the optimized hot
-/// paths (default) or on the frozen per-task reference pipeline
-/// (`Config::reference_pipeline`) the hot paths are pinned against.
-fn auto_tracings(reference: bool) -> Vec<Tracing> {
-    let cfg = if reference { small_auto().with_reference_pipeline() } else { small_auto() };
+/// The two automatically traced front-ends.
+fn auto_tracings() -> Vec<Tracing> {
     vec![
-        Tracing::Auto(cfg.clone()),
-        Tracing::Distributed(cfg.with_agreed_ingest(8, DelayModel::new(2024, 25))),
+        Tracing::Auto(small_auto()),
+        Tracing::Distributed(small_auto().with_agreed_ingest(8, DelayModel::new(2024, 25))),
     ]
 }
 
@@ -101,6 +99,18 @@ fn drive(issuer: &mut dyn TaskIssuer, manual: bool, batched: bool) -> Vec<TaskHa
 
 fn build(tracing: Tracing, retention: LogRetention) -> Box<dyn TaskIssuer> {
     Session::builder().nodes(2).gpus_per_node(2).tracing(tracing).log_retention(retention).build()
+}
+
+/// Like [`build`], but an automatic front-end on the frozen per-task
+/// reference pipeline the hot paths are pinned against (selected by
+/// construction: the reference is not configuration).
+fn build_reference(tracing: Tracing, retention: LogRetention) -> Box<dyn TaskIssuer> {
+    let rt = RuntimeConfig::multi_node(2, 2).with_log_retention(retention);
+    match tracing {
+        Tracing::Auto(config) => Box::new(AutoTracer::reference(rt, config)),
+        Tracing::Distributed(config) => Box::new(DistributedAutoTracer::reference(rt, config)),
+        other => panic!("{} has no reference pipeline", other.label()),
+    }
 }
 
 fn run(tracing: Tracing, batched: bool) -> (Vec<TaskHash>, OpLog) {
@@ -165,6 +175,13 @@ fn run_artifacts(tracing: Tracing, batched: bool, retention: LogRetention) -> Ru
     issuer.finish().unwrap()
 }
 
+/// [`run_artifacts`] on the reference pipeline, per-task, fully retained.
+fn reference_artifacts(tracing: Tracing) -> RunArtifacts {
+    let mut issuer = build_reference(tracing, LogRetention::Full);
+    drive(issuer.as_mut(), false, false);
+    issuer.finish().unwrap()
+}
+
 #[test]
 fn fast_paths_match_the_frozen_reference_pipeline() {
     // The recognize/replay hot paths (untraceable short-circuit,
@@ -172,9 +189,9 @@ fn fast_paths_match_the_frozen_reference_pipeline() {
     // be invisible: against the frozen per-task reference pipeline, the
     // operation log is bit-for-bit identical and every counter agrees —
     // per-task and batched, stored (Full) and streaming (Drain).
-    for (fast, reference) in auto_tracings(false).into_iter().zip(auto_tracings(true)) {
+    for fast in auto_tracings() {
         let label = fast.label();
-        let reference = run_artifacts(reference, false, LogRetention::Full);
+        let reference = reference_artifacts(fast.clone());
         for batched in [false, true] {
             let got = run_artifacts(fast.clone(), batched, LogRetention::Full);
             assert_eq!(
@@ -374,6 +391,14 @@ mod proptests {
         (artifacts.report, artifacts.log)
     }
 
+    /// [`report_of`] on the reference pipeline, fully retained.
+    fn reference_report_of(tracing: Tracing, spec: &[(u8, u8)]) -> (SimReport, Option<OpLog>) {
+        let mut issuer = build_reference(tracing, LogRetention::Full);
+        drive_random(issuer.as_mut(), spec, false);
+        let artifacts = issuer.finish().unwrap();
+        (artifacts.report, artifacts.log)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -416,12 +441,9 @@ mod proptests {
         fn fast_paths_equal_reference_on_random_streams(
             spec in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..120),
         ) {
-            for (fast, reference) in
-                auto_tracings(false).into_iter().zip(auto_tracings(true))
-            {
+            for fast in auto_tracings() {
                 let label = fast.label();
-                let (ref_report, ref_log) =
-                    report_of(reference, LogRetention::Full, &spec);
+                let (ref_report, ref_log) = reference_report_of(fast.clone(), &spec);
                 let (fast_report, fast_log) =
                     report_of(fast, LogRetention::Full, &spec);
                 prop_assert_eq!(
@@ -442,8 +464,6 @@ fn distributed_decisions_are_pinned() {
     // front-end, before it became N engines sharing one ingest schedule:
     // op digest, bit-exact report and stats fingerprints, and the
     // agreement counters `(ingests, waits, stall_ops, interval)`.
-    use apophenia::DistributedAutoTracer;
-    use tasksim::runtime::RuntimeConfig;
     let fnv = |bytes: &[u8]| {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3)
@@ -452,13 +472,13 @@ fn distributed_decisions_are_pinned() {
     for reference in [false, true] {
         for batched in [false, true] {
             for retention in [LogRetention::Full, LogRetention::Drain] {
-                let cfg =
-                    if reference { small_auto().with_reference_pipeline() } else { small_auto() };
+                let cfg = small_auto().with_agreed_ingest(8, DelayModel::new(2024, 25));
                 let rt = RuntimeConfig::multi_node(2, 2).with_log_retention(retention);
-                let mut d = DistributedAutoTracer::new(
-                    rt,
-                    cfg.with_agreed_ingest(8, DelayModel::new(2024, 25)),
-                );
+                let mut d = if reference {
+                    DistributedAutoTracer::reference(rt, cfg)
+                } else {
+                    DistributedAutoTracer::new(rt, cfg)
+                };
                 drive(&mut d, false, batched);
                 let a = d.agreement_stats();
                 let digest = d.op_digest();
