@@ -1,10 +1,12 @@
 //! Steady-state hot-path throughput: the allocation-free recognize/replay
 //! overhaul, measured.
 //!
-//! Three stream shapes cover the states long runs actually sit in —
+//! Four stream shapes cover the states long runs actually sit in —
 //! `untraceable` (aperiodic, every token rejected at the trie root),
 //! `replaying` (one motif looping forever, the memoized mid-replay fast
-//! path), and `mixed` (alternating blocks of both) — each driven in three
+//! path), `mixed` (alternating blocks of both), and `deferring` (a long
+//! motif whose inner pieces keep completing behind an older cursor, the
+//! replay-decision early-out and score-once path) — each driven in three
 //! issue modes: `reference` (the frozen pre-overhaul per-task pipeline,
 //! `TraceReplayer::reference` / `AutoTracer::reference`), `fast` (the
 //! per-task hot paths), and `batched` (`TraceReplayer::on_batch` /
@@ -29,7 +31,7 @@ use bench::{
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-const STREAMS: [&str; 3] = ["untraceable", "replaying", "mixed"];
+const STREAMS: [&str; 4] = ["untraceable", "replaying", "mixed", "deferring"];
 const MODES: [&str; 3] = ["reference", "fast", "batched"];
 
 /// `--test` smoke mode: one small pass, no timing assertions.

@@ -250,7 +250,7 @@ pub fn tab_overhead() -> OverheadReport {
 /// steady-state stream shape and issue mode.
 #[derive(Debug, Clone)]
 pub struct HotPathRow {
-    /// Stream shape: `untraceable`, `replaying`, `mixed`.
+    /// Stream shape: `untraceable`, `replaying`, `mixed`, `deferring`.
     pub stream: &'static str,
     /// Measurement layer: `replayer` (the recognize/replay pipeline in
     /// isolation) or `session` (the full stack through a `Session`).
@@ -279,12 +279,27 @@ pub fn hot_path_config() -> Config {
     Config::standard().with_min_trace_length(8).with_batch_size(1024).with_multi_scale_factor(128)
 }
 
+/// Blocks in the `deferring` motif: each is a shared 8-kind inner piece
+/// closed by its own separator kind, so the motif is 72 tasks long.
+const HOT_PATH_DEFER_BLOCKS: u32 = 8;
+
+/// The `deferring` motif (see [`HOT_PATH_DEFER_BLOCKS`]).
+fn deferring_motif() -> Vec<u32> {
+    (0..HOT_PATH_DEFER_BLOCKS).flat_map(|b| (64..72).chain(std::iter::once(96 + b))).collect()
+}
+
 /// Task-kind stream for one hot-path shape. `untraceable` never repeats
 /// a kind (the trie's root map rejects every token), `replaying` loops
 /// the [`HOT_PATH_MOTIF`]-kind motif forever, `mixed` alternates
-/// 512-task motif blocks with 512-task aperiodic blocks.
+/// 512-task motif blocks with 512-task aperiodic blocks, and `deferring`
+/// loops a 72-task motif whose inner pieces keep completing while the
+/// cursor of the motif occurrence that started earlier is alive, so
+/// nearly every replay decision defers.
 pub fn hot_path_kinds(stream: &'static str, tasks: usize) -> Vec<u32> {
     const NOISE: u32 = 1 << 20;
+    if stream == "deferring" {
+        return deferring_motif().into_iter().cycle().take(tasks).collect();
+    }
     (0..tasks as u32)
         .map(|i| match stream {
             "untraceable" => NOISE + i,
@@ -299,6 +314,23 @@ pub fn hot_path_kinds(stream: &'static str, tasks: usize) -> Vec<u32> {
             other => panic!("unknown hot-path stream {other:?}"),
         })
         .collect()
+}
+
+/// Candidates the bare-replayer hot-path layer ingests up front, as task
+/// kinds: the [`HOT_PATH_MOTIF`] motif, or for `deferring` what mining
+/// extracts from its motif — the motif, its rotations at block
+/// boundaries, the inner piece and each inner piece with its separator.
+pub fn hot_path_candidates(stream: &'static str) -> Vec<Vec<u32>> {
+    if stream != "deferring" {
+        return vec![(0..HOT_PATH_MOTIF as u32).collect()];
+    }
+    let motif = deferring_motif();
+    let block = motif.len() / HOT_PATH_DEFER_BLOCKS as usize;
+    let mut cands: Vec<Vec<u32>> =
+        (0..motif.len()).step_by(block).map(|r| [&motif[r..], &motif[..r]].concat()).collect();
+    cands.push(motif[..block - 1].to_vec());
+    cands.extend(motif.chunks(block).map(<[u32]>::to_vec));
+    cands
 }
 
 /// A sink that digests every event it sees (FNV-1a, order-sensitive):
@@ -357,9 +389,10 @@ impl apophenia::TraceSink for DigestSink {
 }
 
 /// Drives one hot-path stream through a bare [`apophenia::TraceReplayer`]
-/// (motif pre-ingested, mining excluded) and measures wall-clock tasks/s
-/// plus the event digest. This is the layer the steady-state fast paths
-/// live in, so it is where the speedup thresholds are enforced.
+/// ([`hot_path_candidates`] pre-ingested, mining excluded) and measures
+/// wall-clock tasks/s plus the event digest. This is the layer the
+/// steady-state fast paths live in, so it is where the speedup thresholds
+/// are enforced.
 pub fn run_hot_path_replayer(stream: &'static str, mode: &'static str, tasks: usize) -> HotPathRow {
     use apophenia::{MinedBatch, MinedCandidate, TraceReplayer};
     use std::time::Instant;
@@ -370,13 +403,14 @@ pub fn run_hot_path_replayer(stream: &'static str, mode: &'static str, tasks: us
     } else {
         TraceReplayer::new(&config)
     };
-    let content: Vec<_> =
-        (0..HOT_PATH_MOTIF as u32).map(|k| TaskDesc::new(TaskKindId(k)).semantic_hash()).collect();
-    replayer.ingest(&MinedBatch {
-        job: 0,
-        candidates: vec![MinedCandidate { content, occurrences: vec![0] }],
-        slice_end: 0,
-    });
+    let candidates = hot_path_candidates(stream)
+        .iter()
+        .map(|kinds| MinedCandidate {
+            content: kinds.iter().map(|&k| TaskDesc::new(TaskKindId(k)).semantic_hash()).collect(),
+            occurrences: vec![0],
+        })
+        .collect();
+    replayer.ingest(&MinedBatch { job: 0, candidates, slice_end: 0 });
     let kinds = hot_path_kinds(stream, tasks);
     let mut sink = DigestSink::new();
     let t0 = Instant::now();

@@ -109,8 +109,6 @@ pub struct WarmupDetector {
     streak: u32,
     iterations: u64,
     steady_at: Option<u64>,
-    /// Per-iteration traced fraction history.
-    history: Vec<f64>,
 }
 
 impl WarmupDetector {
@@ -123,7 +121,6 @@ impl WarmupDetector {
             streak: 0,
             iterations: 0,
             steady_at: None,
-            history: Vec::new(),
         }
     }
 
@@ -132,7 +129,6 @@ impl WarmupDetector {
     pub fn record_iteration(&mut self, traced: u64, total: u64) {
         self.iterations += 1;
         let frac = if total == 0 { 1.0 } else { traced as f64 / total as f64 };
-        self.history.push(frac);
         if frac >= self.threshold {
             self.streak += 1;
             if self.streak == self.consecutive && self.steady_at.is_none() {
@@ -148,11 +144,6 @@ impl WarmupDetector {
     /// reached.
     pub fn warmup_iterations(&self) -> Option<u64> {
         self.steady_at.map(|s| s - 1)
-    }
-
-    /// Per-iteration traced fractions.
-    pub fn history(&self) -> &[f64] {
-        &self.history
     }
 
     /// Iterations observed.
@@ -207,7 +198,6 @@ impl Snapshot for WarmupDetector {
         w.put_u32(self.streak);
         w.put_u64(self.iterations);
         w.put_opt_u64(self.steady_at);
-        w.put_seq(&self.history, |w, f| w.put_f64(*f));
     }
 }
 
@@ -219,7 +209,6 @@ impl Restore for WarmupDetector {
             streak: r.get_u32()?,
             iterations: r.get_u64()?,
             steady_at: r.get_opt_u64()?,
-            history: r.get_seq(|r| r.get_f64())?,
         })
     }
 }
@@ -292,7 +281,27 @@ mod tests {
             d.record_iteration(0, 100);
         }
         assert_eq!(d.warmup_iterations(), None);
-        assert_eq!(d.history().len(), 10);
+        assert_eq!(d.iterations(), 10);
+    }
+
+    #[test]
+    fn warmup_snapshot_size_is_independent_of_run_length() {
+        let encoded_len = |iterations: u32| {
+            let mut d = WarmupDetector::default();
+            for i in 0..iterations {
+                d.record_iteration(u64::from(i % 7) * 15, 100);
+            }
+            let mut w = SnapshotWriter::new();
+            d.snapshot(&mut w);
+            let payload = w.into_payload();
+            let mut r = SnapshotReader::new(&payload);
+            let back = WarmupDetector::restore(&mut r).unwrap();
+            r.expect_end().unwrap();
+            assert_eq!(back.iterations(), u64::from(iterations));
+            assert_eq!(back.warmup_iterations(), d.warmup_iterations());
+            payload.len()
+        };
+        assert_eq!(encoded_len(10), encoded_len(10_000), "checkpoint state grows with the run");
     }
 
     #[test]

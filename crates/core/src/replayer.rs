@@ -18,6 +18,18 @@
 //! a longer, better-scoring candidate. Deferral is bounded by the longest
 //! candidate in the trie, so the pending queue cannot grow without bound.
 //!
+//! Periodic streams sit in that deferral most of the time: sub-pieces and
+//! rotations of a long motif keep completing while the motif's own cursor
+//! is still alive. Two exact shortcuts keep those decisions cheap. First,
+//! when some cursor starts at or before the *earliest* completed match
+//! (kept current as matches come and go), it blocks whichever match would
+//! win, so the decision breaks before any scoring, in O(live cursors).
+//! Second, when a choice is needed, each distinct candidate is scored
+//! once per decision (many completed matches share a candidate), and the
+//! cached scores are dropped when the decision returns. The frozen
+//! reference pipeline ([`TraceReplayer::reference`]) keeps the
+//! unshortened rule, so the parity suites compare the two.
+//!
 //! # Bounded memory
 //!
 //! With [`CapacityConfig`] limits set, the candidate store itself is
@@ -234,6 +246,12 @@ pub struct ReplayerStats {
     /// Highest candidate-store footprint observed, sampled after capacity
     /// enforcement — the figure a `max_trie_bytes` budget bounds.
     pub peak_trie_bytes: usize,
+    /// §4.3 score evaluations made to choose among completed matches
+    /// (replay decisions and end-of-stream flushes). The work counter of
+    /// the deferral path: a decision that an older cursor blocks scores
+    /// nothing, and one that must choose scores each distinct candidate
+    /// once. The frozen reference pipeline does not count.
+    pub match_scores: u64,
 }
 
 /// The online recognizer/replayer. See module docs.
@@ -283,6 +301,16 @@ pub struct TraceReplayer {
     scratch_cursor_nodes: HashSet<NodeId>, // snapshot: derived
     scratch_ranked: Vec<(f64, u32)>, // snapshot: derived
     scratch_dead: HashSet<NodeId>, // snapshot: derived
+    /// `(stamp, score)` per candidate id for [`Self::best_completed`]: an
+    /// entry is valid only while its stamp equals `score_stamp`, which
+    /// each call bumps, so no score outlives the call that computed it.
+    scratch_scores: Vec<(u64, f64)>, // snapshot: derived
+    score_stamp: u64, // snapshot: derived
+    /// Earliest start among `completed`, kept current wherever the fast
+    /// paths change it, so [`Self::decide`] reads it without a scan. The
+    /// reference step extends `completed` without updating it; only
+    /// `decide` reads it, and the reference pipeline never calls `decide`.
+    first_completed: Option<u64>, // snapshot: derived — recomputed on restore
 }
 
 impl TraceReplayer {
@@ -312,6 +340,9 @@ impl TraceReplayer {
             scratch_cursor_nodes: HashSet::new(),
             scratch_ranked: Vec::new(),
             scratch_dead: HashSet::new(),
+            scratch_scores: Vec::new(),
+            score_stamp: 0,
+            first_completed: None,
         }
     }
 
@@ -707,6 +738,8 @@ impl TraceReplayer {
             if let Some(next) = self.trie.step(cur.node, hash) {
                 if let Some(cand) = self.trie.terminal(next) {
                     self.completed.push(CompletedMatch { cand, start: cur.start, end: global + 1 });
+                    self.first_completed =
+                        Some(self.first_completed.map_or(cur.start, |f| f.min(cur.start)));
                     let m = &mut self.meta[cand.0 as usize];
                     m.count = m.count.saturating_add(1);
                     m.last_seen = global + 1;
@@ -780,7 +813,7 @@ impl TraceReplayer {
         self.cursors = survivors;
         self.completed.extend(newly_completed);
 
-        self.decide(sink)
+        self.decide_reference(sink)
     }
 
     /// Flushes everything at end of stream: replays any eligible completed
@@ -794,7 +827,13 @@ impl TraceReplayer {
         self.fast_pos = None;
         // No more tokens will arrive: live cursors can never finish.
         self.cursors.clear();
-        while let Some(best) = self.best_completed() {
+        loop {
+            let best = if self.reference {
+                self.best_completed_reference()
+            } else {
+                self.best_completed()
+            };
+            let Some(best) = best else { break };
             self.replay(best, sink)?;
         }
         while let Some(p) = self.pending.pop_front() {
@@ -802,6 +841,7 @@ impl TraceReplayer {
             sink.execute_task(p.desc)?;
         }
         self.completed.clear();
+        self.first_completed = None;
         Ok(())
     }
 
@@ -909,6 +949,7 @@ impl TraceReplayer {
         w.put_u64(s.traces_issued);
         w.put_u64(s.evicted_candidates);
         w.put_u64(s.trie_compactions);
+        w.put_u64(s.match_scores);
         w.put_len(s.peak_candidates);
         w.put_len(s.peak_trie_nodes);
         w.put_len(s.peak_meta_capacity);
@@ -1014,6 +1055,7 @@ impl TraceReplayer {
             candidates: replayer.trie.candidate_count(),
             evicted_candidates: r.get_u64()?,
             trie_compactions: r.get_u64()?,
+            match_scores: r.get_u64()?,
             peak_candidates: r.get_len()?,
             peak_trie_nodes: r.get_len()?,
             meta_capacity: replayer.meta.len(),
@@ -1024,6 +1066,7 @@ impl TraceReplayer {
             peak_trie_bytes: r.get_len()?,
         };
         replayer.stats.trie_bytes = replayer.trie_bytes();
+        replayer.first_completed = replayer.completed.iter().map(|c| c.start).min();
         Ok(replayer)
     }
 
@@ -1036,8 +1079,83 @@ impl TraceReplayer {
         Ok(())
     }
 
-    /// Drives flush/replay decisions after each arrival.
+    /// Drives flush/replay decisions after each arrival. Decides exactly
+    /// as [`Self::decide_reference`]; see the module docs for the two
+    /// shortcuts that make the deferral-heavy states cheap.
     fn decide<S: TraceSink>(&mut self, sink: &mut S) -> Result<(), S::Error> {
+        let mut first_cursor = self.cursors.iter().map(|c| c.start).min();
+        let mut first_match = self.first_completed;
+        debug_assert_eq!(first_match, self.completed.iter().map(|c| c.start).min());
+        while let Some(first) = first_match {
+            // Exact early-out: a cursor starting at or before every
+            // completed match starts at or before the best one, which
+            // blocks it through the first disjunct below whichever match
+            // the scores pick. `best_completed` is pure, so skipping it
+            // skips nothing but work.
+            if first_cursor.is_some_and(|c| c <= first) {
+                break;
+            }
+            // The deferral rule of `decide_reference`, commented there.
+            let Some(best) = self.best_completed() else { break };
+            let patience = 2 * self.trie.max_candidate_len();
+            let best_len = (best.end - best.start) as usize;
+            let blocked = self.cursors.iter().any(|c| {
+                c.start <= best.start
+                    || (c.start < best.end
+                        && self.trie.potential_len(c.node) > best_len
+                        && self.pending.len() < patience)
+            });
+            if blocked {
+                break;
+            }
+            self.replay(best, sink)?;
+            first_cursor = self.cursors.iter().map(|c| c.start).min();
+            first_match = self.first_completed;
+        }
+        // Flush the prefix no potential match can cover any more.
+        let keep_from = first_cursor.into_iter().chain(first_match).min().unwrap_or(self.now);
+        while self.pending.front().is_some_and(|p| p.global < keep_from) {
+            let Some(p) = self.pending.pop_front() else { break };
+            self.stats.forwarded_untraced += 1;
+            sink.execute_task(p.desc)?;
+        }
+        Ok(())
+    }
+
+    /// Highest-scoring completed match (ties: longer, then earlier start).
+    /// Picks exactly what [`Self::best_completed_reference`] picks — same
+    /// scores, comparator and last-of-equals rule — but scores each
+    /// distinct candidate once, into stamped scratch.
+    fn best_completed(&mut self) -> Option<CompletedMatch> {
+        self.score_stamp += 1;
+        let stamp = self.score_stamp;
+        let mut scores = std::mem::take(&mut self.scratch_scores);
+        if scores.len() < self.meta.len() {
+            scores.resize(self.meta.len(), (0, 0.0));
+        }
+        let mut evaluated = 0u64;
+        for c in &self.completed {
+            let slot = &mut scores[c.cand.0 as usize];
+            if slot.0 != stamp {
+                *slot = (stamp, self.score(c.cand, self.now));
+                evaluated += 1;
+            }
+        }
+        self.stats.match_scores += evaluated;
+        let best = self.completed.iter().copied().max_by(|a, b| {
+            let (sa, sb) = (scores[a.cand.0 as usize].1, scores[b.cand.0 as usize].1);
+            sa.partial_cmp(&sb)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| (a.end - a.start).cmp(&(b.end - b.start)))
+                .then_with(|| b.start.cmp(&a.start))
+        });
+        self.scratch_scores = scores;
+        best
+    }
+
+    /// The frozen reference decision pass behind [`Self::on_task_reference`]:
+    /// the pre-optimization rule [`Self::decide`] is pinned against.
+    fn decide_reference<S: TraceSink>(&mut self, sink: &mut S) -> Result<(), S::Error> {
         loop {
             // Choose the best completed match, then check whether an
             // active cursor justifies deferring it (the paper's
@@ -1054,7 +1172,7 @@ impl TraceReplayer {
             // Deferral is abandoned once the pending queue exceeds twice
             // the longest candidate, bounding buffering even on streams
             // that keep cursors alive indefinitely.
-            let best = self.best_completed();
+            let best = self.best_completed_reference();
             let best = match best {
                 Some(b) => b,
                 None => break,
@@ -1088,8 +1206,9 @@ impl TraceReplayer {
         Ok(())
     }
 
-    /// Highest-scoring completed match (ties: longer, then earlier start).
-    fn best_completed(&self) -> Option<CompletedMatch> {
+    /// Highest-scoring completed match (ties: longer, then earlier start),
+    /// scoring both sides of every comparison: the reference selection.
+    fn best_completed_reference(&self) -> Option<CompletedMatch> {
         self.completed.iter().copied().max_by(|a, b| {
             let (sa, sb) = (self.score(a.cand, self.now), self.score(b.cand, self.now));
             sa.partial_cmp(&sb)
@@ -1143,6 +1262,7 @@ impl TraceReplayer {
         // Drop cursors and matches overlapping the consumed interval.
         self.cursors.retain(|c| c.start >= m.end);
         self.completed.retain(|c| c.start >= m.end);
+        self.first_completed = self.completed.iter().map(|c| c.start).min();
         // A candidate that just replayed is the one most likely to walk
         // the stream again immediately: memoize its chain so the next
         // occurrence can take the fast lane.
@@ -1752,6 +1872,55 @@ mod tests {
         }
     }
 
+    /// A long periodic motif and the candidates mining extracts from it,
+    /// shaped so that replay decisions sit in deferral: the motif is
+    /// `blocks` copies of a shared `inner` piece, each closed by its own
+    /// separator (`sep + b`). Candidates: the motif, its rotations at the
+    /// block boundaries, the inner piece and every block. The inner piece
+    /// and the blocks complete once per block, each while the cursor of
+    /// the motif occurrence that started earlier is still alive.
+    fn deferring_fixture(inner: &[u32], blocks: u32, sep: u32) -> (Vec<u32>, Vec<Vec<u32>>) {
+        let block = inner.len() + 1;
+        let motif: Vec<u32> = (0..blocks)
+            .flat_map(|b| inner.iter().copied().chain(std::iter::once(sep + b)))
+            .collect();
+        let mut cands: Vec<Vec<u32>> =
+            (0..motif.len()).step_by(block).map(|r| [&motif[r..], &motif[..r]].concat()).collect();
+        cands.push(inner.to_vec());
+        cands.extend(motif.chunks(block).map(<[u32]>::to_vec));
+        (motif, cands)
+    }
+
+    fn batch_of_vecs(cands: &[Vec<u32>]) -> MinedBatch {
+        let refs: Vec<&[u32]> = cands.iter().map(Vec::as_slice).collect();
+        batch_of(&refs)
+    }
+
+    #[test]
+    fn deferred_decisions_score_nothing_behind_an_older_cursor() {
+        // Regression: every arrival used to re-score every completed match
+        // (two §4.3 scores per comparison) even when an older cursor was
+        // bound to block whichever match won.
+        let (motif, cands) = deferring_fixture(&[1, 2, 3, 4], 6, 50);
+        let mut fast = TraceReplayer::new(&cfg(2));
+        let mut reference = TraceReplayer::reference(&cfg(2));
+        let (mut sf, mut sr) = (EventSink::default(), EventSink::default());
+        fast.ingest(&batch_of_vecs(&cands));
+        reference.ingest(&batch_of_vecs(&cands));
+        let stream: Vec<u32> = motif.iter().copied().cycle().take(200 * motif.len()).collect();
+        feed(&mut fast, &mut sf, &stream);
+        feed(&mut reference, &mut sr, &stream);
+        fast.flush(&mut sf).unwrap();
+        reference.flush(&mut sr).unwrap();
+        assert_eq!(sf.events, sr.events, "decisions unchanged");
+        assert_eq!(ReplayerStats { match_scores: 0, ..fast.stats() }, reference.stats());
+        let s = fast.stats();
+        assert!(s.traces_issued >= 100, "the stream really replays: {s:?}");
+        assert!(s.peak_pending_tasks >= motif.len(), "decisions really deferred: {s:?}");
+        let per_task = s.match_scores as f64 / stream.len() as f64;
+        assert!(per_task < 0.5, "{per_task:.2} match scores per task: {s:?}");
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -1806,6 +1975,72 @@ mod tests {
                 original.write_snapshot(&mut wa);
                 restored.write_snapshot(&mut wb);
                 prop_assert_eq!(wa.into_payload(), wb.into_payload());
+            }
+
+            /// The shortened decision path decides exactly as the frozen
+            /// reference on deferral-heavy streams: a random motif, its
+            /// rotations and sub-pieces as candidates (ingested at the
+            /// start, and a subset re-ingested mid-stream), repeated with
+            /// noise sprinkled in, fed per task and in batches.
+            #[test]
+            fn deferral_shortcuts_decide_as_the_reference(
+                motif in proptest::collection::vec(1u32..8, 4..24),
+                rotations in any::<u32>(),
+                pieces in proptest::collection::vec((any::<u16>(), 2usize..8), 0..6),
+                reps in 2usize..12,
+                noise in proptest::collection::vec((any::<u16>(), 1u32..12), 0..8),
+                cap in 0usize..8,
+                chunk in 1usize..40,
+                cut_sel in any::<u16>(),
+            ) {
+                let n = motif.len();
+                let mut cands: Vec<Vec<u32>> = (0..n)
+                    .filter(|r| *r == 0 || rotations & (1 << (r % 32)) != 0)
+                    .map(|r| [&motif[r..], &motif[..r]].concat())
+                    .collect();
+                cands.extend(pieces.iter().map(|&(at, len)| {
+                    let at = at as usize % n;
+                    motif[at..(at + len).min(n)].to_vec()
+                }));
+                let mut stream: Vec<u32> = motif.iter().copied().cycle().take(reps * n).collect();
+                for &(at, kind) in &noise {
+                    let at = at as usize % (stream.len() + 1);
+                    stream.insert(at, kind);
+                }
+                let cut = cut_sel as usize % (stream.len() + 1);
+                let late = &cands[..cands.len().div_ceil(2)];
+
+                let mut config = cfg(2);
+                // Below 3 the cap is off; otherwise eviction runs too.
+                config.capacity.max_candidates = (cap >= 3).then_some(cap);
+                let run = |mut r: TraceReplayer, batched: bool| {
+                    let mut sink = EventSink::default();
+                    r.ingest(&batch_of_vecs(&cands));
+                    let parts = [(&stream[..cut], Some(late)), (&stream[cut..], None)];
+                    for (part, then_ingest) in parts {
+                        if batched {
+                            for c in part.chunks(chunk) {
+                                let mut buf: Vec<_> =
+                                    c.iter().map(|&k| (task(k), hash(k))).collect();
+                                r.on_batch(&mut buf, &mut sink).unwrap();
+                            }
+                        } else {
+                            feed(&mut r, &mut sink, part);
+                        }
+                        if let Some(late) = then_ingest {
+                            r.ingest(&batch_of_vecs(late));
+                        }
+                    }
+                    r.flush(&mut sink).unwrap();
+                    (sink.events, r.stats())
+                };
+                let (ref_events, ref_stats) = run(TraceReplayer::reference(&config), false);
+                let (events, stats) = run(TraceReplayer::new(&config), false);
+                let (batch_events, batch_stats) = run(TraceReplayer::new(&config), true);
+                prop_assert_eq!(&events, &ref_events);
+                prop_assert_eq!(ReplayerStats { match_scores: 0, ..stats }, ref_stats);
+                prop_assert_eq!(&batch_events, &ref_events);
+                prop_assert_eq!(batch_stats, stats);
             }
         }
     }

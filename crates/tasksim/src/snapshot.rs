@@ -56,7 +56,10 @@ pub const MAGIC: [u8; 4] = *b"APSN";
 /// v5: the serialized configuration lost the suffix-backend tag, the
 /// winnow flag and the reference-pipeline selector; the finder lost its
 /// prefiltered-job counter and the engine its capacity series.
-pub const FORMAT_VERSION: u32 = 5;
+/// v6: the warmup detector lost its per-iteration history (it grew by one
+/// entry per iteration forever); the replayer's counters gained
+/// `match_scores`.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Front-end tag: a bare [`crate::runtime::Runtime`] (untraced or
 /// manually annotated).

@@ -1,14 +1,18 @@
 //! Counting-allocator proof of the allocation-free steady states.
 //!
 //! The recognize/replay hot paths promise O(1) work *and zero heap
-//! traffic* per task once warm, in the two states long runs actually sit
-//! in:
+//! traffic* per task once warm, in the three states long runs actually
+//! sit in:
 //!
 //! * **untraceable stream** — nothing buffered, nothing matching, every
 //!   token rejected by the trie's dense root map and forwarded straight
 //!   to the sink;
 //! * **mid-replay** — a single cursor walking a memoized candidate chain
-//!   while the pending buffer cycles inside its warmed capacity.
+//!   while the pending buffer cycles inside its warmed capacity;
+//! * **deferring** — a long motif whose inner pieces keep completing
+//!   while the cursor of the motif occurrence that started earlier is
+//!   alive, so completed matches pile up and nearly every replay decision
+//!   defers (the early-out and the score-once scratch).
 //!
 //! A counting `#[global_allocator]` wrapper measures heap allocations
 //! (alloc / alloc_zeroed / realloc) across thousands of steady-state
@@ -107,12 +111,19 @@ fn task(kind: u32) -> (TaskDesc, TaskHash) {
 }
 
 fn motif_batch(kinds: &[u32]) -> MinedBatch {
+    candidates_batch(&[kinds.to_vec()])
+}
+
+fn candidates_batch(cands: &[Vec<u32>]) -> MinedBatch {
     MinedBatch {
         job: 0,
-        candidates: vec![MinedCandidate {
-            content: kinds.iter().map(|&k| task(k).1).collect(),
-            occurrences: vec![0],
-        }],
+        candidates: cands
+            .iter()
+            .map(|kinds| MinedCandidate {
+                content: kinds.iter().map(|&k| task(k).1).collect(),
+                occurrences: vec![0],
+            })
+            .collect(),
         slice_end: 0,
     }
 }
@@ -169,4 +180,44 @@ fn steady_states_are_allocation_free() {
         512,
         "every measured occurrence replayed"
     );
+
+    // --- Deferring -------------------------------------------------------
+    // Twelve blocks of a shared inner piece, each closed by its own
+    // separator; candidates are the motif, its rotations at block
+    // boundaries, the inner piece and each block.
+    const INNER: [u32; 4] = [10, 11, 12, 13];
+    const BLOCKS: u32 = 12;
+    let motif: Vec<u32> =
+        (0..BLOCKS).flat_map(|b| INNER.iter().copied().chain(std::iter::once(100 + b))).collect();
+    let block = INNER.len() + 1;
+    let mut cands: Vec<Vec<u32>> =
+        (0..motif.len()).step_by(block).map(|r| [&motif[r..], &motif[..r]].concat()).collect();
+    cands.push(INNER.to_vec());
+    cands.extend(motif.chunks(block).map(<[u32]>::to_vec));
+    let mut replayer = TraceReplayer::new(&config);
+    replayer.ingest(&candidates_batch(&cands));
+    while replayer.stats().traces_issued < 3 {
+        for &k in &motif {
+            let (desc, hash) = task(k);
+            replayer.on_task(desc, hash, &mut sink).unwrap();
+        }
+    }
+    let before = replayer.stats();
+    let allocs = allocations_in(|| {
+        for _ in 0..64 {
+            for &k in &motif {
+                let (desc, hash) = task(k);
+                replayer.on_task(desc, hash, &mut sink).unwrap();
+            }
+        }
+    });
+    let after = replayer.stats();
+    assert_eq!(allocs, 0, "deferring steady state allocated {allocs} times over 3840 tasks");
+    assert_eq!(
+        after.traces_issued - before.traces_issued,
+        64,
+        "every measured occurrence replayed"
+    );
+    assert!(after.peak_pending_tasks >= motif.len(), "decisions deferred: {after:?}");
+    assert!(after.match_scores > before.match_scores, "some decisions had to choose: {after:?}");
 }
