@@ -198,6 +198,9 @@ pub enum ConfigError {
     ZeroMaxTraceLength,
     /// `batch_size == 0`: an empty history buffer can never mine.
     ZeroBatchSize,
+    /// `batch_size > u32::MAX`: the repeat miner indexes window
+    /// positions in `u32`.
+    BatchSizeTooLarge,
     /// `multi_scale_factor == 0`: the sampler needs a positive period.
     ZeroMultiScaleFactor,
     /// `mining_threads == 0` (the builder clamps; a literal can not).
@@ -231,6 +234,7 @@ impl std::fmt::Display for ConfigError {
         let msg = match self {
             Self::ZeroMaxTraceLength => "max_trace_length must be at least 1 when set",
             Self::ZeroBatchSize => "batch_size must be at least 1",
+            Self::BatchSizeTooLarge => "batch_size must be at most u32::MAX",
             Self::ZeroMultiScaleFactor => "multi_scale_factor must be at least 1",
             Self::ZeroMiningThreads => "mining_threads must be at least 1",
             Self::NonPositiveHalfLife => "scoring.staleness_half_life must be positive and finite",
@@ -426,8 +430,9 @@ impl Config {
     /// Checks the configuration for values the engine cannot run with:
     /// zero capacities (which would stall candidate splitting or make the
     /// stores unable to hold anything), a non-positive staleness
-    /// half-life (which would turn scores into NaN), and an agreed ingest
-    /// schedule that is empty or mixed with asynchronous mining.
+    /// half-life (which would turn scores into NaN), a batch size past
+    /// the miner's `u32` positions, and an agreed ingest schedule that is
+    /// empty or mixed with asynchronous mining.
     ///
     /// The builders clamp these away; validate guards configurations
     /// assembled by struct literal or deserialization.
@@ -441,6 +446,9 @@ impl Config {
         }
         if self.batch_size == 0 {
             return Err(ConfigError::ZeroBatchSize);
+        }
+        if u32::try_from(self.batch_size).is_err() {
+            return Err(ConfigError::BatchSizeTooLarge);
         }
         if self.multi_scale_factor == 0 {
             return Err(ConfigError::ZeroMultiScaleFactor);
@@ -630,5 +638,17 @@ mod tests {
 
         // Errors render as readable messages.
         assert!(ConfigError::NonPositiveHalfLife.to_string().contains("half_life"));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn validate_rejects_batch_sizes_past_u32() {
+        // The miner indexes window positions in u32: the largest
+        // indexable window passes, one token more is a typed error.
+        let c = Config::standard().with_batch_size(u32::MAX as usize);
+        assert!(c.validate().is_ok());
+        let c = Config::standard().with_batch_size(u32::MAX as usize + 1);
+        assert_eq!(c.validate(), Err(ConfigError::BatchSizeTooLarge));
+        assert!(ConfigError::BatchSizeTooLarge.to_string().contains("u32::MAX"));
     }
 }

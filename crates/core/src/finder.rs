@@ -10,10 +10,13 @@
 //! finish out of order are reassembled before release), and the caller
 //! decides *when* to ingest them (the §5.1 distributed-agreement hook).
 //!
-//! The per-job hot path is allocation-lean: job token buffers are
-//! recycled through a return channel once a worker finishes with them,
-//! and the history slice is copied out of the ring buffer slice-wise
-//! (`VecDeque::as_slices`) rather than element by element.
+//! The per-job hot path is allocation-free apart from the mined output:
+//! Algorithm 2 runs in a [`RepeatMiner`] whose scratch the synchronous
+//! finder and each pool worker own and reuse across jobs (it grows
+//! lazily, so building a finder allocates none of it), job token buffers
+//! are recycled through a return channel once a worker finishes with
+//! them, and the history slice is copied out of the ring buffer
+//! slice-wise (`VecDeque::as_slices`) rather than element by element.
 //!
 //! # Shared worker pools
 //!
@@ -36,7 +39,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use substrings::lzw::lzw_parse;
-use substrings::repeats::find_repeats_min_len;
+use substrings::repeats::RepeatMiner;
 use substrings::tandem::select_tandem_repeats;
 use tasksim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use tasksim::task::TaskHash;
@@ -115,7 +118,7 @@ struct Job {
     poison: bool,
 }
 
-fn run_job(job: &Job) -> MinedBatch {
+fn run_job(job: &Job, miner: &mut RepeatMiner) -> MinedBatch {
     #[cfg(test)]
     if job.poison {
         panic!("poisoned mining job {}", job.id);
@@ -129,7 +132,8 @@ fn run_job(job: &Job) -> MinedBatch {
         occ.into_iter().map(|p| job.global_start + p as u64).collect()
     };
     let candidates = match job.algo {
-        RepeatsAlgorithm::QuickMatching => find_repeats_min_len(tokens, job.min_len)
+        RepeatsAlgorithm::QuickMatching => miner
+            .mine(tokens, job.min_len)
             .into_iter()
             .map(|r| MinedCandidate { content: r.content, occurrences: globalize(r.occurrences) })
             .collect(),
@@ -232,28 +236,35 @@ impl MiningPool {
         let workers = (0..threads)
             .map(|_| {
                 let job_rx = Arc::clone(&job_rx);
-                std::thread::spawn(move || loop {
-                    // Hold the lock only while waiting for a job; mining
-                    // runs unlocked so workers overlap.
-                    let pj = match job_rx.lock() {
-                        Ok(rx) => rx.recv(),
-                        Err(_) => break,
-                    };
-                    let Ok(PoolJob { job, res_tx, recycle_tx, panic_tx }) = pj else { break };
-                    // A panicking miner must not deadlock the submitter's
-                    // reorder buffer: answer the job with an empty batch,
-                    // report the panic, keep serving.
-                    let slice_end = job.global_start + job.tokens.len() as u64;
-                    let batch =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(&job)))
-                            .unwrap_or_else(|_| {
-                                let _ = panic_tx.send(job.id);
-                                MinedBatch { job: job.id, candidates: Vec::new(), slice_end }
-                            });
-                    let _ = recycle_tx.send(job.tokens);
-                    // The submitting finder may already be gone; other
-                    // finders' jobs keep flowing regardless.
-                    let _ = res_tx.send(batch);
+                std::thread::spawn(move || {
+                    // This worker's mining scratch, reused by every job it
+                    // runs. Each mine rewrites what it reads, so a job
+                    // that panicked mid-mine leaves nothing stale behind.
+                    let mut miner = RepeatMiner::new();
+                    loop {
+                        // Hold the lock only while waiting for a job;
+                        // mining runs unlocked so workers overlap.
+                        let pj = match job_rx.lock() {
+                            Ok(rx) => rx.recv(),
+                            Err(_) => break,
+                        };
+                        let Ok(PoolJob { job, res_tx, recycle_tx, panic_tx }) = pj else { break };
+                        // A panicking miner must not deadlock the
+                        // submitter's reorder buffer: answer the job with
+                        // an empty batch, report the panic, keep serving.
+                        let slice_end = job.global_start + job.tokens.len() as u64;
+                        let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            run_job(&job, &mut miner)
+                        }))
+                        .unwrap_or_else(|_| {
+                            let _ = panic_tx.send(job.id);
+                            MinedBatch { job: job.id, candidates: Vec::new(), slice_end }
+                        });
+                        let _ = recycle_tx.send(job.tokens);
+                        // The submitting finder may already be gone; other
+                        // finders' jobs keep flowing regardless.
+                        let _ = res_tx.send(batch);
+                    }
                 })
             })
             .collect();
@@ -289,6 +300,8 @@ impl MiningPool {
 enum Miner {
     Sync {
         done: VecDeque<MinedBatch>,
+        // snapshot: derived — mining scratch; every job rewrites what it reads
+        miner: RepeatMiner,
     },
     Pool {
         /// Handle to the (possibly shared) worker pool.
@@ -322,6 +335,13 @@ enum Miner {
         /// positions are a pure function of the quiesce schedule.
         gated: bool,
     },
+}
+
+impl Miner {
+    /// Inline mining, with scratch that grows on the first job.
+    fn sync() -> Self {
+        Miner::Sync { done: VecDeque::new(), miner: RepeatMiner::new() }
+    }
 }
 
 /// The trace finder: rolling history buffer plus mining pipeline.
@@ -366,7 +386,7 @@ impl TraceFinder {
     /// multi-tenant host shares one pool via [`Self::with_pool`] instead.
     pub fn new(config: &Config) -> Self {
         if config.mines_inline() {
-            Self::build(config, Miner::Sync { done: VecDeque::new() })
+            Self::build(config, Miner::sync())
         } else {
             Self::with_pool(config, &MiningPool::new(config.mining_threads.max(1)))
         }
@@ -379,7 +399,7 @@ impl TraceFinder {
     /// When [`Config::mines_inline`] the pool is unused.
     pub fn with_pool(config: &Config, pool: &MiningPool) -> Self {
         let miner = if config.mines_inline() {
-            Miner::Sync { done: VecDeque::new() }
+            Miner::sync()
         } else {
             let (res_tx, rx) = channel::<MinedBatch>();
             let (recycle_tx, recycle_rx) = channel::<Vec<TaskHash>>();
@@ -512,8 +532,8 @@ impl TraceFinder {
         self.next_job += 1;
         self.jobs_submitted += 1;
         match &mut self.miner {
-            Miner::Sync { done } => {
-                done.push_back(run_job(&job));
+            Miner::Sync { done, miner } => {
+                done.push_back(run_job(&job, miner));
                 if self.spare.len() < self.spare_cap {
                     self.spare.push(job.tokens);
                 }
@@ -559,7 +579,7 @@ impl TraceFinder {
     /// rather than withheld forever.
     pub fn poll_completed(&mut self) -> Vec<MinedBatch> {
         match &mut self.miner {
-            Miner::Sync { done } => done.drain(..).collect(),
+            Miner::Sync { done, .. } => done.drain(..).collect(),
             Miner::Pool {
                 rx,
                 panic_rx,
@@ -659,7 +679,7 @@ impl TraceFinder {
     pub fn drain_blocking(&mut self) -> Vec<MinedBatch> {
         self.quiesce();
         match &mut self.miner {
-            Miner::Sync { done } => done.drain(..).collect(),
+            Miner::Sync { done, .. } => done.drain(..).collect(),
             Miner::Pool { ready, .. } => ready.drain(..).collect(),
         }
     }
@@ -695,7 +715,7 @@ impl TraceFinder {
     /// Number of jobs submitted but not yet polled.
     pub fn in_flight(&self) -> usize {
         match &self.miner {
-            Miner::Sync { done } => done.len(),
+            Miner::Sync { done, .. } => done.len(),
             Miner::Pool { in_flight, pending, ready, .. } => {
                 *in_flight + pending.len() + ready.len()
             }
@@ -727,7 +747,7 @@ impl TraceFinder {
         w.put_u64(self.jobs_submitted);
         let (completed, lost_jobs, first_panic): (Vec<&MinedBatch>, usize, Option<u64>) =
             match &self.miner {
-                Miner::Sync { done } => (done.iter().collect(), 0, None),
+                Miner::Sync { done, .. } => (done.iter().collect(), 0, None),
                 Miner::Pool { ready, lost_jobs, first_panic, .. } => {
                     (ready.iter().collect(), *lost_jobs, *first_panic)
                 }
@@ -763,7 +783,7 @@ impl TraceFinder {
         let lost = r.get_len()?;
         let panicked = r.get_opt_u64()?;
         match &mut f.miner {
-            Miner::Sync { done } => {
+            Miner::Sync { done, .. } => {
                 if lost > 0 || panicked.is_some() {
                     return Err(SnapshotError::Corrupt(
                         "synchronous finder cannot carry pool failures".into(),

@@ -14,7 +14,8 @@
 //!   suffix backend.
 //! * [`repeats`] — the paper's Algorithm 2: non-overlapping repeated
 //!   substring mining with greedy longest-first selection
-//!   (`quick_matching_of_substrings` in the artifact's flag spelling).
+//!   (`quick_matching_of_substrings` in the artifact's flag spelling), run
+//!   in a reusable-scratch `RepeatMiner`.
 //! * [`coverage`] — the §3 optimization problem: traces, matchings,
 //!   coverage, validity, and a brute-force optimal reference solver used in
 //!   tests and ablations.

@@ -4,9 +4,9 @@
 //! construction (Kasai et al. for LCP; SA-IS / DC3 for the array itself).
 //! This module is the **default backend** behind
 //! [`crate::suffix_array::SuffixArray::build`]
-//! ([`SuffixBackend::Sais`](crate::suffix_array::SuffixBackend)): the
-//! history-buffer miner's hot path runs induced sorting in `O(n)` after
-//! the shared hash-based alphabet compaction. Prefix doubling
+//! ([`SuffixBackend::Sais`](crate::suffix_array::SuffixBackend)) and the
+//! repeat miner's hot path: induced sorting in `O(n)` over the dense
+//! `u32` alphabet that compaction produces. Prefix doubling
 //! (`O(n log n)`) remains available as
 //! [`SuffixBackend::Doubling`](crate::suffix_array::SuffixBackend) and is
 //! cross-checked against this implementation by property tests and raced
@@ -15,10 +15,18 @@
 //! The algorithm classifies suffixes as S-type (smaller than their right
 //! neighbor) or L-type, locates the leftmost-S (LMS) positions, induce-
 //! sorts from an approximate LMS order, names the LMS substrings, recurses
-//! if names collide, and induce-sorts once more from the exact order.
+//! if names collide, and induce-sorts once more from the exact order. Each
+//! level is `O(n)` and at most halves the input, so the total is `O(n)`.
+//! The reduced problem lives inside the output array (sorted LMS positions
+//! in its head, their names in its tail), so the builder keeps only suffix
+//! types and bucket pointers per recursion level, in buffers reused from
+//! call to call: a warm construction allocates nothing.
 
-use crate::suffix_array::compact_alphabet;
+use crate::suffix_array::{fits_u32, refill, SuffixScratch};
 use crate::Token;
+
+/// Marks an unfilled suffix-array slot while inducing.
+const EMPTY: u32 = u32::MAX;
 
 /// Builds the suffix array of `s` in `O(n)` time (plus the shared
 /// hash-based alphabet compaction: `O(n)` expected, `O(σ log σ)` in the
@@ -27,155 +35,208 @@ use crate::Token;
 /// Returns the same permutation as
 /// [`crate::suffix_array::SuffixArray::build`]; prefer that entry point
 /// when the LCP and rank arrays are also needed.
+///
+/// # Panics
+///
+/// Panics if `s` is longer than `u32::MAX` tokens.
 pub fn suffix_array_sais<T: Token>(s: &[T]) -> Vec<usize> {
-    if s.is_empty() {
-        return Vec::new();
-    }
-    let (text, alphabet) = compact_alphabet(s);
-    sais(&text, alphabet)
+    assert!(fits_u32(s.len()), "suffix arrays index positions in u32");
+    let mut scratch = SuffixScratch::default();
+    scratch.build(s, crate::SuffixBackend::Sais);
+    scratch.sa.iter().map(|&p| p as usize).collect()
 }
 
-/// Core SA-IS over a dense alphabet `0..alphabet`. The virtual sentinel
-/// (smaller than every symbol) is handled implicitly and never stored.
-pub(crate) fn sais(text: &[usize], alphabet: usize) -> Vec<usize> {
-    let n = text.len();
-    if n == 0 {
-        return Vec::new();
+/// Reusable SA-IS state: one [`Level`] of buffers per recursion depth.
+/// The recursion itself runs inside the output array, so a level needs
+/// only its suffix types and buckets.
+#[derive(Debug, Default)]
+pub(crate) struct Sais {
+    levels: Vec<Level>,
+}
+
+/// The buffers of one recursion level.
+#[derive(Debug, Default)]
+struct Level {
+    /// Suffix types: true = S-type (suffix < next suffix), false = L-type.
+    is_s: Vec<bool>,
+    /// Bucket size per symbol, and bucket heads or tails while inducing.
+    sizes: Vec<u32>,
+    ptr: Vec<u32>,
+}
+
+impl Sais {
+    /// Writes the suffix array of `text` (symbols in `0..alphabet`) into
+    /// `sa`. The virtual sentinel (smaller than every symbol) is handled
+    /// implicitly and never stored.
+    pub(crate) fn build(&mut self, text: &[u32], alphabet: usize, sa: &mut Vec<u32>) {
+        refill(sa, text.len(), EMPTY);
+        self.level(0, text, alphabet, sa);
     }
-    if n == 1 {
-        return vec![0];
-    }
 
-    // Suffix types: true = S-type (suffix < next suffix), false = L-type.
-    // The virtual sentinel is S-type and smaller than everything.
-    let mut is_s = vec![false; n];
-    // The last real suffix is L-type w.r.t. the sentinel... by convention
-    // the sentinel is the smallest, so suffix n-1 (single char > sentinel)
-    // is L-type.
-    for i in (0..n - 1).rev() {
-        is_s[i] = text[i] < text[i + 1] || (text[i] == text[i + 1] && is_s[i + 1]);
-    }
-
-    let is_lms = |i: usize| i > 0 && is_s[i] && !is_s[i - 1];
-    let lms_positions: Vec<usize> = (1..n).filter(|&i| is_lms(i)).collect();
-
-    // Bucket boundaries per symbol.
-    let mut bucket_sizes = vec![0usize; alphabet];
-    for &c in text {
-        bucket_sizes[c] += 1;
-    }
-    let bucket_heads = |sizes: &[usize]| {
-        let mut heads = vec![0usize; alphabet];
-        let mut sum = 0;
-        for (c, &sz) in sizes.iter().enumerate() {
-            heads[c] = sum;
-            sum += sz;
+    fn level(&mut self, depth: usize, text: &[u32], alphabet: usize, sa: &mut [u32]) {
+        let n = text.len();
+        if n <= 1 {
+            sa.fill(0);
+            return;
         }
-        heads
-    };
-    let bucket_tails = |sizes: &[usize]| {
-        let mut tails = vec![0usize; alphabet];
-        let mut sum = 0;
-        for (c, &sz) in sizes.iter().enumerate() {
-            sum += sz;
-            tails[c] = sum;
+        if self.levels.len() <= depth {
+            self.levels.resize_with(depth + 1, Level::default);
         }
-        tails
-    };
+        // Taken out (allocation-free) so the recursion can borrow `self`.
+        let Level { mut is_s, mut sizes, mut ptr } = std::mem::take(&mut self.levels[depth]);
 
-    const EMPTY: usize = usize::MAX;
+        // The last suffix is L-type: its single symbol exceeds the
+        // sentinel that follows it.
+        refill(&mut is_s, n, false);
+        for i in (0..n - 1).rev() {
+            is_s[i] = text[i] < text[i + 1] || (text[i] == text[i + 1] && is_s[i + 1]);
+        }
+        refill(&mut sizes, alphabet, 0);
+        for &c in text {
+            sizes[c as usize] += 1;
+        }
 
-    // Induced sort given LMS positions in some order: place LMS suffixes
-    // at bucket tails, induce L from heads, induce S from tails.
-    let induce = |lms_order: &[usize]| -> Vec<usize> {
-        let mut sa = vec![EMPTY; n];
-        let mut tails = bucket_tails(&bucket_sizes);
-        for &p in lms_order.iter().rev() {
-            let c = text[p];
-            tails[c] -= 1;
-            sa[tails[c]] = p;
+        // Sort the LMS substrings: induce from the LMS positions seeded
+        // in text order.
+        sa.fill(EMPTY);
+        buckets(&sizes, &mut ptr, true);
+        for i in (1..n as u32).filter(|&i| is_lms(&is_s, i)) {
+            let c = text[i as usize] as usize;
+            ptr[c] -= 1;
+            sa[ptr[c] as usize] = i;
         }
-        // Induce L-type from left to right.
-        let mut heads = bucket_heads(&bucket_sizes);
-        // Virtual sentinel's predecessor: suffix n-1 if L-type.
-        if !is_s[n - 1] {
-            let c = text[n - 1];
-            sa[heads[c]] = n - 1;
-            heads[c] += 1;
-        }
+        induce(text, &is_s, &sizes, &mut ptr, sa);
+
+        // Compact the `m ≤ n/2` sorted LMS positions into `sa[..m]` and
+        // name their substrings at `sa[m + p/2]` (LMS positions are at
+        // least two apart, so the slots are distinct and below `n`).
+        let mut m = 0;
         for i in 0..n {
             let p = sa[i];
-            if p != EMPTY && p > 0 && !is_s[p - 1] {
-                let c = text[p - 1];
-                sa[heads[c]] = p - 1;
-                heads[c] += 1;
+            if is_lms(&is_s, p) {
+                sa[m] = p;
+                m += 1;
             }
         }
-        // Induce S-type from right to left (overwrites the LMS seeds).
-        let mut tails = bucket_tails(&bucket_sizes);
-        for i in (0..n).rev() {
-            let p = sa[i];
-            if p != EMPTY && p > 0 && is_s[p - 1] {
-                let c = text[p - 1];
-                tails[c] -= 1;
-                sa[tails[c]] = p - 1;
+        sa[m..].fill(EMPTY);
+        let mut name = 0;
+        for i in 0..m {
+            let p = sa[i] as usize;
+            if i > 0 && !lms_substrings_equal(text, &is_s, sa[i - 1] as usize, p) {
+                name += 1;
+            }
+            sa[m + p / 2] = name;
+        }
+
+        // Order the LMS suffixes exactly. The induced order already is
+        // when every name is distinct; otherwise recurse on the reduced
+        // string of names (in text order, packed into the tail), then map
+        // its suffix array back to text positions.
+        if (name as usize + 1) < m {
+            let mut j = n;
+            for i in (m..n).rev() {
+                if sa[i] != EMPTY {
+                    j -= 1;
+                    sa[j] = sa[i];
+                }
+            }
+            let (head, reduced) = sa.split_at_mut(n - m);
+            self.level(depth + 1, reduced, name as usize + 1, &mut head[..m]);
+            for (slot, i) in reduced.iter_mut().zip((1..n as u32).filter(|&i| is_lms(&is_s, i))) {
+                *slot = i;
+            }
+            for r in &mut head[..m] {
+                *r = reduced[*r as usize];
             }
         }
-        sa
-    };
 
-    // First pass: LMS positions in text order (approximate).
-    let sa1 = induce(&lms_positions);
+        // Seed the LMS suffixes at their bucket tails in exact order, from
+        // the back (each lands at or after its own index), and induce.
+        sa[m..].fill(EMPTY);
+        buckets(&sizes, &mut ptr, true);
+        for i in (0..m).rev() {
+            let p = std::mem::replace(&mut sa[i], EMPTY);
+            let c = text[p as usize] as usize;
+            ptr[c] -= 1;
+            debug_assert!(ptr[c] as usize >= i, "an LMS seed overwrote an unplaced one");
+            sa[ptr[c] as usize] = p;
+        }
+        induce(text, &is_s, &sizes, &mut ptr, sa);
+        self.levels[depth] = Level { is_s, sizes, ptr };
+    }
+}
 
-    // Extract LMS suffixes in their induced order and name the LMS
-    // substrings.
-    let lms_sorted: Vec<usize> = sa1.iter().copied().filter(|&p| p != EMPTY && is_lms(p)).collect();
-    let lms_count = lms_positions.len();
-    debug_assert_eq!(lms_sorted.len(), lms_count);
-
-    // lms_eq: whether two LMS substrings are equal (compare up to and
-    // including the next LMS position).
-    let lms_end = |p: usize| {
-        // End of the LMS substring starting at p: the next LMS position,
-        // or n (exclusive sentinel) for the last one.
-        lms_positions
-            .binary_search(&p)
-            .map_or(n, |idx| lms_positions.get(idx + 1).copied().unwrap_or(n - 1) + 1)
-    };
-    let lms_equal = |a: usize, b: usize| {
-        let (ea, eb) = (lms_end(a), lms_end(b));
-        if ea - a != eb - b {
+/// Whether the LMS substrings starting at LMS positions `a != b` are
+/// equal: same symbols and types up to and including the next LMS
+/// position. The last LMS substring runs into the sentinel, which equals
+/// nothing.
+fn lms_substrings_equal(text: &[u32], is_s: &[bool], a: usize, b: usize) -> bool {
+    let n = text.len();
+    let mut k = 0;
+    loop {
+        let (x, y) = (a + k, b + k);
+        if x == n || y == n || text[x] != text[y] || is_s[x] != is_s[y] {
             return false;
         }
-        text[a..ea] == text[b..eb]
-    };
-
-    // Assign names in induced order.
-    let mut name_of = vec![0usize; n];
-    let mut names = 0usize;
-    let mut prev: Option<usize> = None;
-    for &p in &lms_sorted {
-        if let Some(q) = prev {
-            if !lms_equal(q, p) {
-                names += 1;
-            }
+        // Types agree here and at every earlier offset, so `x` is LMS
+        // exactly when `y` is.
+        if k > 0 && is_lms(is_s, x as u32) {
+            return true;
         }
-        name_of[p] = names;
-        prev = Some(p);
+        k += 1;
     }
+}
 
-    // Order LMS suffixes exactly.
-    let lms_exact: Vec<usize> = if names + 1 == lms_count {
-        // All names distinct: the induced order is exact.
-        lms_sorted
-    } else {
-        // Recurse on the reduced string of LMS names (in text order).
-        let reduced: Vec<usize> = lms_positions.iter().map(|&p| name_of[p]).collect();
-        let rec = sais(&reduced, names + 1);
-        rec.iter().map(|&i| lms_positions[i]).collect()
-    };
+/// Whether position `i` is leftmost-S: S-type after an L-type.
+fn is_lms(is_s: &[bool], i: u32) -> bool {
+    let i = i as usize;
+    i > 0 && is_s[i] && !is_s[i - 1]
+}
 
-    induce(&lms_exact)
+/// Induces the L-type suffixes left to right from the LMS seeds in `sa`,
+/// then the S-type suffixes right to left (overwriting the seeds).
+fn induce(text: &[u32], is_s: &[bool], sizes: &[u32], ptr: &mut Vec<u32>, sa: &mut [u32]) {
+    let n = text.len();
+    // Induce L-type from left to right, starting with the virtual
+    // sentinel's predecessor: suffix n-1, always L-type.
+    buckets(sizes, ptr, false);
+    let c = text[n - 1] as usize;
+    sa[ptr[c] as usize] = (n - 1) as u32;
+    ptr[c] += 1;
+    for i in 0..n {
+        let p = sa[i];
+        if p != EMPTY && p > 0 && !is_s[p as usize - 1] {
+            let c = text[p as usize - 1] as usize;
+            sa[ptr[c] as usize] = p - 1;
+            ptr[c] += 1;
+        }
+    }
+    // Induce S-type from right to left (overwrites the LMS seeds).
+    buckets(sizes, ptr, true);
+    for i in (0..n).rev() {
+        let p = sa[i];
+        if p != EMPTY && p > 0 && is_s[p as usize - 1] {
+            let c = text[p as usize - 1] as usize;
+            ptr[c] -= 1;
+            sa[ptr[c] as usize] = p - 1;
+        }
+    }
+}
+
+/// Writes each bucket's one-past-last index (`tails`) or first index
+/// into `ptr`.
+fn buckets(sizes: &[u32], ptr: &mut Vec<u32>, tails: bool) {
+    ptr.clear();
+    ptr.reserve_exact(sizes.len());
+    let mut sum = 0;
+    ptr.extend(sizes.iter().map(|&sz| {
+        sum += sz;
+        if tails {
+            sum
+        } else {
+            sum - sz
+        }
+    }));
 }
 
 #[cfg(test)]

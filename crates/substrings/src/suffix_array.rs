@@ -2,21 +2,24 @@
 //!
 //! The trace finder (Algorithm 2 of the paper) needs, for an arbitrary
 //! token alphabet, the suffix array of the history buffer plus the LCP
-//! (longest common prefix) array between adjacent suffixes. Two backends
-//! build the suffix array over a shared hash-compacted alphabet:
+//! (longest common prefix) array between adjacent suffixes. They are built
+//! in reusable `u32` scratch (so inputs hold at most `u32::MAX` tokens):
 //!
-//! * [`SuffixBackend::Sais`] (the default) — linear-time induced sorting
-//!   (`O(n)` after compaction; see [`crate::sais`]), the asymptotically
-//!   optimal path §4.2 budgets for;
-//! * [`SuffixBackend::Doubling`] — prefix doubling with counting-sort
-//!   passes (`O(n log n)`), kept as a cross-check and ablation baseline.
+//! 1. alphabet compaction, `O(n)` expected plus `O(σ log σ)` for `σ`
+//!    distinct tokens: one order-preserving pass through an open-addressing
+//!    table with a fixed hasher, then a sort of the distinct tokens;
+//! 2. suffix sorting by [`SuffixBackend::Sais`] (the default; `O(n)`, see
+//!    [`crate::sais`]) or [`SuffixBackend::Doubling`] (prefix doubling with
+//!    counting-sort passes, `O(n log n)`, a cross-check and ablation
+//!    baseline);
+//! 3. Kasai's LCP, `O(n)`.
 //!
-//! Both backends feed the same Kasai linear-time LCP construction and
-//! produce identical [`SuffixArray`] values (property-tested in this
-//! module), so backend choice is purely a performance knob.
+//! Both backends produce identical [`SuffixArray`] values (property-tested
+//! in this module), so backend choice is purely a performance knob.
 
+use crate::sais::Sais;
 use crate::Token;
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Which suffix-array construction algorithm [`SuffixArray::build_with`]
 /// runs.
@@ -66,28 +69,26 @@ impl SuffixArray {
     /// Accepts any token type; the alphabet is first compacted to dense
     /// ranks by hashing (`O(n)` expected plus `O(σ log σ)` for `σ`
     /// distinct tokens).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is longer than `u32::MAX` tokens.
     pub fn build<T: Token>(s: &[T]) -> Self {
         Self::build_with(s, SuffixBackend::default())
     }
 
     /// Builds the suffix array and LCP array of `s` with an explicit
     /// backend. Both backends return identical results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is longer than `u32::MAX` tokens.
     pub fn build_with<T: Token>(s: &[T], backend: SuffixBackend) -> Self {
-        let n = s.len();
-        if n == 0 {
-            return Self { sa: Vec::new(), rank: Vec::new(), lcp: Vec::new() };
-        }
-        let (text, alphabet) = compact_alphabet(s);
-        let sa = match backend {
-            SuffixBackend::Doubling => doubling_sa(&text),
-            SuffixBackend::Sais => crate::sais::sais(&text, alphabet),
-        };
-        let mut rank = vec![0usize; n];
-        for (i, &p) in sa.iter().enumerate() {
-            rank[p] = i;
-        }
-        let lcp = kasai(&text, &sa, &rank);
-        Self { sa, rank, lcp }
+        assert!(fits_u32(s.len()), "suffix arrays index positions in u32");
+        let mut scratch = SuffixScratch::default();
+        scratch.build(s, backend);
+        let widen = |v: &[u32]| v.iter().map(|&x| x as usize).collect();
+        Self { sa: widen(&scratch.sa), rank: widen(&scratch.rank), lcp: widen(&scratch.lcp) }
     }
 
     /// The suffix array: positions of suffixes in lexicographic order.
@@ -117,32 +118,126 @@ impl SuffixArray {
     }
 }
 
-/// Maps arbitrary tokens to order-preserving dense ranks in `0..σ`,
-/// returning the ranked text and the alphabet size `σ`.
-///
-/// Hash-based: one pass collects the distinct tokens into a map, the `σ`
-/// distinct tokens (only) are sorted to fix rank order, and a second pass
-/// translates the text through the map — `O(n)` expected plus
-/// `O(σ log σ)`, with no copy of `s` and no per-token binary search.
-/// Every token of `s` is in the map by construction, so translation is
-/// infallible.
-pub(crate) fn compact_alphabet<T: Token>(s: &[T]) -> (Vec<usize>, usize) {
-    let mut rank_of: HashMap<T, usize> = HashMap::new();
-    for &t in s {
-        rank_of.entry(t).or_insert(0);
+/// Whether every position of an `n`-token input fits a `u32` index.
+pub(crate) fn fits_u32(n: usize) -> bool {
+    u32::try_from(n).is_ok()
+}
+
+/// Reusable buffers for the suffix, rank and LCP arrays of one input.
+/// Each [`Self::build`] overwrites the last and allocates only when an
+/// input outgrows every earlier one.
+#[derive(Debug, Default)]
+pub(crate) struct SuffixScratch {
+    /// Compaction table (first-sight number + 1 per slot, 0 when empty),
+    /// then each first-sight number's dense rank.
+    slots: Vec<u32>,
+    /// First position of each distinct token, by first-sight number,
+    /// then in token order.
+    first: Vec<u32>,
+    /// The input as dense ranks.
+    text: Vec<u32>,
+    sais: Sais,
+    pub(crate) sa: Vec<u32>,
+    pub(crate) rank: Vec<u32>,
+    pub(crate) lcp: Vec<u32>,
+}
+
+impl SuffixScratch {
+    /// Indexes `s`, whose length must fit `u32` (checked by the callers).
+    pub(crate) fn build<T: Token>(&mut self, s: &[T], backend: SuffixBackend) {
+        debug_assert!(fits_u32(s.len()));
+        let sigma = self.compact(s);
+        match backend {
+            SuffixBackend::Sais => self.sais.build(&self.text, sigma, &mut self.sa),
+            SuffixBackend::Doubling => {
+                self.sa.clear();
+                self.sa.extend(doubling_sa(&self.text).into_iter().map(|p| p as u32));
+            }
+        }
+        refill(&mut self.rank, s.len(), 0);
+        for (i, &p) in self.sa.iter().enumerate() {
+            self.rank[p as usize] = i as u32;
+        }
+        kasai(&self.text, &self.sa, &self.rank, &mut self.lcp);
     }
-    let mut distinct: Vec<T> = rank_of.keys().copied().collect();
-    distinct.sort_unstable();
-    for (r, t) in distinct.iter().enumerate() {
-        *rank_of.get_mut(t).expect("token came from the map") = r;
+
+    /// Writes `s` as order-preserving dense ranks into `text` and returns
+    /// the alphabet size `σ`. The table is at most two-thirds full and
+    /// probed linearly from a fixed hash, so no random seed is involved.
+    fn compact<T: Token>(&mut self, s: &[T]) -> usize {
+        let bits = (s.len() + s.len() / 2).max(2).next_power_of_two().trailing_zeros();
+        let mask = (1usize << bits) - 1;
+        refill(&mut self.slots, mask + 1, 0);
+        self.first.clear();
+        self.text.clear();
+        self.text.reserve_exact(s.len());
+        for (i, t) in s.iter().enumerate() {
+            let mut h = FxHasher::slot(t, bits);
+            let id = loop {
+                match self.slots[h] {
+                    0 => {
+                        self.first.push(i as u32);
+                        self.slots[h] = self.first.len() as u32;
+                        break self.first.len() as u32 - 1;
+                    }
+                    id if s[self.first[id as usize - 1] as usize] == *t => break id - 1,
+                    _ => h = (h + 1) & mask,
+                }
+            };
+            self.text.push(id);
+        }
+        self.first.sort_unstable_by(|&a, &b| s[a as usize].cmp(&s[b as usize]));
+        for (r, &p) in self.first.iter().enumerate() {
+            self.slots[self.text[p as usize] as usize] = r as u32;
+        }
+        for c in &mut self.text {
+            *c = self.slots[*c as usize];
+        }
+        self.first.len()
     }
-    (s.iter().map(|t| rank_of[t]).collect(), distinct.len())
+}
+
+/// Empties `v` and refills it with `len` copies of `x`. Growth is exact:
+/// scratch keeps its capacity from window to window, where amortized
+/// doubling would only hold memory no window uses.
+pub(crate) fn refill<T: Copy>(v: &mut Vec<T>, len: usize, x: T) {
+    v.clear();
+    v.reserve_exact(len);
+    v.resize(len, x);
+}
+
+/// The Fx multiply-rotate hash: fast, and the same on every run.
+struct FxHasher(u64);
+
+impl FxHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    /// `t`'s home slot in a table of `2^bits` slots, from the high bits.
+    fn slot<T: Hash>(t: &T, bits: u32) -> usize {
+        let mut h = FxHasher(0);
+        t.hash(&mut h);
+        (h.0.wrapping_mul(Self::K) >> (64 - bits)) as usize
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Prefix-doubling suffix array over a dense-ranked text: `O(n log n)`.
-fn doubling_sa(text: &[usize]) -> Vec<usize> {
+fn doubling_sa(text: &[u32]) -> Vec<usize> {
     let n = text.len();
-    let mut rank = text.to_vec();
+    let mut rank: Vec<usize> = text.iter().map(|&c| c as usize).collect();
     let mut sa: Vec<usize> = (0..n).collect();
     // Sort by initial rank using counting sort.
     sa = counting_sort_by_key(&sa, n, |&p| rank[p]);
@@ -193,32 +288,41 @@ where
     out
 }
 
-/// Kasai's linear-time LCP construction over the dense-ranked text.
-fn kasai(text: &[usize], sa: &[usize], rank: &[usize]) -> Vec<usize> {
+/// Kasai's linear-time LCP construction over the dense-ranked text,
+/// written into `lcp` (`n - 1` entries, none for `n ≤ 1`).
+fn kasai(text: &[u32], sa: &[u32], rank: &[u32], lcp: &mut Vec<u32>) {
     let n = text.len();
+    refill(lcp, n.saturating_sub(1), 0);
     if n <= 1 {
-        return Vec::new();
+        return;
     }
-    let mut lcp = vec![0usize; n - 1];
     let mut h = 0usize;
     for p in 0..n {
-        if rank[p] + 1 == n {
+        let r = rank[p] as usize;
+        if r + 1 == n {
             h = 0;
             continue;
         }
-        let q = sa[rank[p] + 1];
+        let q = sa[r + 1] as usize;
         while p + h < n && q + h < n && text[p + h] == text[q + h] {
             h += 1;
         }
-        lcp[rank[p]] = h;
+        lcp[r] = h as u32;
         h = h.saturating_sub(1);
     }
-    lcp
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Maps arbitrary tokens to order-preserving dense ranks in `0..σ`,
+    /// returning the ranked text and the alphabet size `σ`.
+    fn compact_alphabet<T: Token>(s: &[T]) -> (Vec<u32>, usize) {
+        let mut scratch = SuffixScratch::default();
+        let sigma = scratch.compact(s);
+        (scratch.text, sigma)
+    }
 
     /// Reference construction by sorting all suffixes (O(n² log n)).
     fn naive_sa<T: Token>(s: &[T]) -> Vec<usize> {

@@ -12,20 +12,26 @@
 //! * **deferring** — a long motif whose inner pieces keep completing
 //!   while the cursor of the motif occurrence that started earlier is
 //!   alive, so completed matches pile up and nearly every replay decision
-//!   defers (the early-out and the score-once scratch).
+//!   defers (the early-out and the score-once scratch);
+//! * **warm inline mining** — a synchronous `TraceFinder` on
+//!   `Config::standard()` whose miner scratch has seen windows of every
+//!   sampled size: a window without repeats mines with no allocation at
+//!   all, and a window with repeats allocates only its output (one
+//!   candidate list plus a content and an occurrence vector per
+//!   candidate).
 //!
 //! A counting `#[global_allocator]` wrapper measures heap allocations
 //! (alloc / alloc_zeroed / realloc) across thousands of steady-state
-//! tasks and asserts the count is exactly zero. Arming is *per-thread*
-//! (const-initialized TLS, no destructor, so the allocator may probe it
-//! safely): harness threads allocating concurrently cannot pollute the
-//! measurement.
+//! tasks and asserts the count is exactly zero (or, for mining, the
+//! output's). Arming and counting are *per-thread* (const-initialized
+//! TLS, no destructor, so the allocator may probe it safely): harness
+//! threads allocating concurrently, the other test included, cannot
+//! pollute the measurement.
 
-use apophenia::{Config, MinedBatch, MinedCandidate, TraceReplayer, TraceSink};
+use apophenia::{Config, MinedBatch, MinedCandidate, TraceFinder, TraceReplayer, TraceSink};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
 use tasksim::ids::{TaskKindId, TraceId};
 use tasksim::task::{TaskDesc, TaskHash};
 
@@ -33,35 +39,31 @@ use tasksim::task::{TaskDesc, TaskHash};
 /// thread while that thread is armed.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn armed() -> bool {
-    ARMED.try_with(Cell::get).unwrap_or(false)
+/// Counts one allocation if this thread is armed.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -75,11 +77,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Counts heap allocations performed by `f` on this thread.
 fn allocations_in(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
     ARMED.with(|a| a.set(true));
     f();
     ARMED.with(|a| a.set(false));
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 /// A sink that discards everything (the replayer's own cost in
@@ -220,4 +222,73 @@ fn steady_states_are_allocation_free() {
     );
     assert!(after.peak_pending_tasks >= motif.len(), "decisions deferred: {after:?}");
     assert!(after.match_scores > before.match_scores, "some decisions had to choose: {after:?}");
+}
+
+/// Records tokens from `stream` until the finder mines a window. Returns
+/// the allocations those `record` calls made (the inline mining included)
+/// and the mined batch, polled outside the measurement.
+fn record_until_mined(
+    finder: &mut TraceFinder,
+    stream: &mut impl Iterator<Item = TaskHash>,
+) -> (u64, MinedBatch) {
+    let mut allocs = 0;
+    loop {
+        let Some(h) = stream.next() else { panic!("streams are endless") };
+        allocs += allocations_in(|| finder.record(h));
+        if finder.in_flight() > 0 {
+            let mut mined = finder.poll_completed();
+            assert_eq!(mined.len(), 1, "one window per firing");
+            return (allocs, mined.remove(0));
+        }
+    }
+}
+
+#[test]
+fn warm_sync_mining_allocates_only_its_output() {
+    // `standard()`: a 5,000-token buffer sampled every 500 tokens, so the
+    // windows are 500, 1,000, 2,000, 4,000 and 5,000 tokens long and the
+    // sizes cycle every 16 firings.
+    let config = Config::standard();
+    assert!(config.mines_inline());
+    const CYCLE: usize = 16;
+
+    // --- No repeats: every token distinct --------------------------------
+    let mut finder = TraceFinder::new(&config);
+    let mut distinct = (1u64..).map(|i| TaskHash(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    // Warm: the buffer fills, then two full cycles of window sizes.
+    for _ in 0..3 * CYCLE {
+        let _ = record_until_mined(&mut finder, &mut distinct);
+    }
+    for firing in 0..2 * CYCLE {
+        let (allocs, batch) = record_until_mined(&mut finder, &mut distinct);
+        assert!(batch.candidates.is_empty(), "firing {firing}: distinct tokens repeated");
+        assert_eq!(allocs, 0, "firing {firing}: a repeat-free window allocated {allocs} times");
+    }
+
+    // --- Repeats: a 40-token loop body ----------------------------------
+    // Every third body ends in one of five noise tokens, so the stream
+    // repeats every 15 bodies (600 tokens) and the window contents every
+    // 6 firings; with the sizes, every 48.
+    let mut finder = TraceFinder::new(&config);
+    let mut periodic = (0u64..).map(|i| {
+        let (body, k) = (i / 40, i % 40);
+        let tok = if k == 39 && body % 3 == 2 { 1_000 + body / 3 % 5 } else { k };
+        TaskHash(tok.wrapping_mul(0xD1B5_4A32_D192_ED03))
+    });
+    for _ in 0..2 * 48 {
+        let _ = record_until_mined(&mut finder, &mut periodic);
+    }
+    let mut mined = 0;
+    for firing in 0..48 {
+        let (allocs, batch) = record_until_mined(&mut finder, &mut periodic);
+        let n = batch.candidates.len() as u64;
+        mined += n;
+        assert!(n > 0, "firing {firing}: the loop body was not mined");
+        assert!(
+            allocs <= 1 + 2 * n,
+            "firing {firing}: {allocs} allocations for {n} candidates (output only allows {})",
+            1 + 2 * n
+        );
+    }
+    assert!(mined >= 48, "every window mined a candidate");
 }
